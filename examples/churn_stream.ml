@@ -57,7 +57,7 @@ let () =
       else 1.
     in
     Printf.printf "%-28s %12d %14d %9.1f%%\n" label
-      stats.Broadcast.Repair.patch_edges stats.Broadcast.Repair.rebuild_edges
+      stats.Broadcast.Repair.patch_edges (Lazy.force stats.Broadcast.Repair.rebuild_edges)
       (100. *. kept);
     if kept < 0.8 then begin
       Printf.printf "    -> degraded too far, full rebuild\n";

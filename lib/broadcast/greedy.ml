@@ -31,69 +31,83 @@ let choose inst ~rate (st : Word.state) =
     else Some Instance.Guarded
   end
 
-let run_algorithm inst ~rate =
+(* Algorithm 2: [on_step letter st] sees every letter appended with the
+   accounting after its [Word.step]; [true] iff the word completes.
+   Line 17 of the pseudo-code (O(pi) < 0) is subsumed: a guarded step
+   already requires O >= T and an open step keeps O >= 0. *)
+let run inst ~rate ~on_step =
   if not (Instance.sorted inst) then invalid_arg "Greedy: instance must be sorted";
   if rate <= 0. then invalid_arg "Greedy: rate must be positive";
   let total = inst.Instance.n + inst.Instance.m in
-  let rec go st acc k =
-    if k = total then (Some (List.rev acc), List.rev acc)
-    else
-      match choose inst ~rate st with
-      | None -> (None, List.rev acc)
-      | Some letter -> begin
-        match Word.step inst ~rate st letter with
-        | None -> (None, List.rev acc)
-        | Some st' ->
-          (* Line 17 of the pseudo-code (O(pi) < 0) is subsumed: a guarded
-             step already requires O >= T and an open step keeps O >= 0. *)
-          go st' ({ letter; state = st' } :: acc) (k + 1)
-      end
+  let rec go st k =
+    k = total
+    ||
+    match choose inst ~rate st with
+    | None -> false
+    | Some letter -> (
+      match Word.step inst ~rate st letter with
+      | None -> false
+      | Some st' ->
+        on_step letter st';
+        go st' (k + 1))
   in
-  go (Word.initial_state inst) [] 0
-
-let word_of_trace trace = Array.of_list (List.map (fun d -> d.letter) trace)
+  go (Word.initial_state inst) 0
 
 let test_trace inst ~rate =
-  match run_algorithm inst ~rate with
-  | Some trace, full -> (Some (word_of_trace trace), full)
-  | None, partial -> (None, partial)
+  let trace = ref [] in
+  let complete =
+    run inst ~rate ~on_step:(fun letter state ->
+        trace := { letter; state } :: !trace)
+  in
+  let trace = List.rev !trace in
+  ((if complete then Some (Array.of_list (List.map (fun d -> d.letter) trace))
+    else None),
+   trace)
 
-let test inst ~rate = fst (test_trace inst ~rate)
+let feasible inst ~rate = run inst ~rate ~on_step:(fun _ _ -> ())
 
-let optimal_acyclic ?iterations inst =
+let test inst ~rate =
+  let w = Array.make (inst.Instance.n + inst.Instance.m) Instance.Open in
+  let on_step letter (st : Word.state) =
+    w.(st.Word.fed_open + st.Word.fed_guarded - 1) <- letter
+  in
+  if run inst ~rate ~on_step then Some w else None
+
+let trivial_word inst =
+  Array.append
+    (Array.make inst.Instance.n Instance.Open)
+    (Array.make inst.Instance.m Instance.Guarded)
+
+let optimum ?iterations inst =
   if not (Instance.sorted inst) then
     invalid_arg "Greedy.optimal_acyclic: instance must be sorted";
   if inst.Instance.n + inst.Instance.m < 1 then
     invalid_arg "Greedy.optimal_acyclic: no receiver";
   let hi = Bounds.cyclic_upper inst in
-  if hi <= 0. then
-    (* Degenerate (e.g. a zero-bandwidth source): rate 0, but the
-       witness must still be a complete word for this instance. *)
-    ( 0.,
-      Array.append
-        (Array.make inst.Instance.n Instance.Open)
-        (Array.make inst.Instance.m Instance.Guarded) )
+  (* Degenerate (e.g. a zero-bandwidth source): rate 0. *)
+  if hi <= 0. then 0.
   else begin
-    let feasible rate = rate <= 0. || test inst ~rate <> None in
-    let search = Util.dichotomic_search ?iterations ~lo:0. ~hi feasible in
+    let search =
+      Util.dichotomic_search ?iterations ~lo:0. ~hi (fun rate ->
+          rate <= 0. || feasible inst ~rate)
+    in
     (* lo = 0 is always feasible (the degenerate rate), so the search
-       cannot report infeasibility here; the witness lookup below handles
-       the t = 0 fringe. *)
+       cannot report infeasibility here. *)
     assert search.Util.feasible;
-    let t = search.Util.value in
+    (* Tolerance fringe: nudge down until the rate is accepted; a rate
+       that never is (or a search stuck at 0) is the degenerate 0. *)
+    let rec settle rate k =
+      if k = 0 || rate <= 0. then 0.
+      else if feasible inst ~rate then rate
+      else settle (rate *. (1. -. 1e-9)) (k - 1)
+    in
+    settle search.Util.value 8
+  end
+
+let optimal_acyclic ?iterations inst =
+  let t = optimum ?iterations inst in
+  if t <= 0. then (0., trivial_word inst)
+  else
     match test inst ~rate:t with
     | Some w -> (t, w)
-    | None ->
-      (* t = 0 or tolerance fringe: nudge down until the witness exists. *)
-      let rec retry rate k =
-        if k = 0 || rate <= 0. then
-          (0., Array.append
-                 (Array.make inst.Instance.n Instance.Open)
-                 (Array.make inst.Instance.m Instance.Guarded))
-        else
-          match test inst ~rate with
-          | Some w -> (rate, w)
-          | None -> retry (rate *. (1. -. 1e-9)) (k - 1)
-      in
-      retry t 8
-  end
+    | None -> assert false (* [optimum] only settles on accepted rates *)

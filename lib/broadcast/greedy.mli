@@ -26,8 +26,15 @@ val test_trace : Platform.Instance.t -> rate:float -> Word.t option * decision l
     actually explored (Table I of the paper). On failure the trace covers
     the steps performed before the algorithm aborted. *)
 
+val optimum : ?iterations:int -> Platform.Instance.t -> float
+(** [optimum inst] is [T*ac], found by bisecting
+    [\[0, cyclic_upper inst\]] with {!test}'s feasibility answer (the
+    word itself is not built; [iterations] bisections, default 100),
+    then nudged down (at most 8 relative [1e-9] steps) onto a rate
+    {!test} accepts — [0.] when none is, or when the bound itself is 0. Requires a sorted instance with at least
+    one non-source node. *)
+
 val optimal_acyclic : ?iterations:int -> Platform.Instance.t -> float * Word.t
-(** [optimal_acyclic inst] is [(T*ac, w)] with [w] a witness word
-    achieving it, found by bisecting [\[0, cyclic_upper inst\]]
-    ([iterations] bisections, default 100). Requires a sorted instance
-    with at least one non-source node. *)
+(** [optimal_acyclic inst] is [(optimum inst, w)] with [w] a witness word
+    achieving it ([test] at that rate; the trivial all-open-then-guarded
+    word when the optimum is 0). Same requirements as {!optimum}. *)

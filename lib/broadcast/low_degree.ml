@@ -4,8 +4,8 @@ open Platform
    mutable so partial draws do not reallocate. *)
 type sender = { node : int; mutable remaining : float }
 
-let draw pool graph ~dst ~need ~cut =
-  (* Take [need] units from the pool head-first, recording edges. *)
+let draw pool ~emit ~dst ~need ~cut =
+  (* Take [need] units from the pool head-first, emitting edges. *)
   let rec go need =
     if need > cut then
       match Queue.peek_opt pool with
@@ -17,7 +17,7 @@ let draw pool graph ~dst ~need ~cut =
         end
         else begin
           let amount = Float.min need s.remaining in
-          Flowgraph.Graph.add_edge graph ~src:s.node ~dst amount;
+          emit ~src:s.node ~dst amount;
           s.remaining <- s.remaining -. amount;
           if s.remaining <= cut then ignore (Queue.pop pool);
           go (need -. amount)
@@ -26,12 +26,14 @@ let draw pool graph ~dst ~need ~cut =
   in
   go need
 
-let build_graph inst ~rate w =
+(* The pool accounting of Lemma 4.6, edges handed to [emit]. The control
+   flow never reads the edges back, so a no-op [emit] decides exactly
+   whether the construction succeeds, without building anything. *)
+let run_pools inst ~rate w ~emit =
   if not (Instance.sorted inst) then invalid_arg "Low_degree.build: instance must be sorted";
   if not (Word.complete w inst) then invalid_arg "Low_degree.build: incomplete word";
   if rate <= 0. then invalid_arg "Low_degree.build: rate must be positive";
   let b = inst.Instance.bandwidth in
-  let graph = Flowgraph.Graph.create (Instance.size inst) in
   (* Comfortably above the feasibility tolerance (1e-9 relative) so that
      round-off residues in the pools neither fail the construction nor
      materialize as micro-edges that would inflate outdegrees. *)
@@ -44,7 +46,7 @@ let build_graph inst ~rate w =
     | Instance.Guarded ->
       let v = !next_guarded in
       incr next_guarded;
-      let missing = draw open_pool graph ~dst:v ~need:rate ~cut in
+      let missing = draw open_pool ~emit ~dst:v ~need:rate ~cut in
       if missing > cut then
         invalid_arg "Low_degree.build: word is not feasible at this rate";
       Queue.push { node = v; remaining = b.(v) } guarded_pool
@@ -52,14 +54,24 @@ let build_graph inst ~rate w =
       let v = !next_open in
       incr next_open;
       (* Conservative: guarded supply first, then the earliest opens. *)
-      let after_guarded = draw guarded_pool graph ~dst:v ~need:rate ~cut in
-      let missing = draw open_pool graph ~dst:v ~need:after_guarded ~cut in
+      let after_guarded = draw guarded_pool ~emit ~dst:v ~need:rate ~cut in
+      let missing = draw open_pool ~emit ~dst:v ~need:after_guarded ~cut in
       if missing > cut then
         invalid_arg "Low_degree.build: word is not feasible at this rate";
       Queue.push { node = v; remaining = b.(v) } open_pool
   in
-  Array.iter feed w;
+  Array.iter feed w
+
+let build_graph inst ~rate w =
+  let graph = Flowgraph.Graph.create (Instance.size inst) in
+  run_pools inst ~rate w ~emit:(fun ~src ~dst amount ->
+      Flowgraph.Graph.add_edge graph ~src ~dst amount);
   graph
+
+let constructible inst ~rate w =
+  match run_pools inst ~rate w ~emit:(fun ~src:_ ~dst:_ _ -> ()) with
+  | () -> true
+  | exception Invalid_argument _ -> false
 
 (* Worst promised class of Theorem 4.1: guarded +1, one open node +3, the
    rest +2; open-only instances degenerate to Algorithm 1's +1. *)

@@ -22,6 +22,13 @@ val build : Platform.Instance.t -> rate:float -> Word.t -> Scheme.t
     Every non-source node receives exactly [rate]; the scheme is acyclic
     and respects the firewall constraint by construction. *)
 
+val constructible : Platform.Instance.t -> rate:float -> Word.t -> bool
+(** [constructible inst ~rate w] is [true] exactly when the pool
+    accounting of {!build} succeeds on the same arguments — on a sorted
+    instance and a complete word, the only way [build] can fail. It runs
+    that accounting float for float but emits no edge and builds no
+    scheme: linear time, no graph allocation. *)
+
 val build_optimal : Platform.Instance.t -> float * Scheme.t
 (** Convenience: [Greedy.optimal_acyclic] followed by {!build} — the full
     Theorem 4.1 pipeline. Returns [(T*ac, scheme)]. *)

@@ -12,19 +12,37 @@ let order t = t.order
 let of_word inst ~rate word =
   { scheme = Low_degree.build inst ~rate word; order = Word.to_order word inst }
 
+(* The default target of [build]: the bisection optimum [t] backed off by
+   4 eps, with the witness re-derived at the backed-off rate so word and
+   rate are mutually consistent ([witness ()], the word at [t], where the
+   backed-off rate is refused). *)
+let backed_off inst t ~witness =
+  let rate = t *. (1. -. (4. *. Util.eps)) in
+  (rate, match Greedy.test inst ~rate with Some w -> w | None -> witness ())
+
 let build ?rate inst =
   match rate with
   | None ->
     let t, w = Greedy.optimal_acyclic inst in
-    let rate = t *. (1. -. (4. *. Util.eps)) in
-    (* Re-derive the witness at the backed-off rate so word and rate are
-       mutually consistent. *)
-    let word = match Greedy.test inst ~rate with Some w' -> w' | None -> w in
+    let rate, word = backed_off inst t ~witness:(fun () -> w) in
     of_word inst ~rate word
   | Some rate -> begin
     match Greedy.test inst ~rate with
     | None -> invalid_arg "Overlay.build: rate is not feasible"
     | Some word -> of_word inst ~rate word
+  end
+
+let optimal_rate inst =
+  let t = Greedy.optimum inst in
+  (* At t = 0 [build] fails in [Greedy.test], which rejects rate 0. *)
+  if t <= 0. then None
+  else begin
+    (* [optimum] only settles on rates [Greedy.test] accepts, so the
+       witness at [t] exists. *)
+    let rate, word =
+      backed_off inst t ~witness:(fun () -> Option.get (Greedy.test inst ~rate:t))
+    in
+    if Low_degree.constructible inst ~rate word then Some rate else None
   end
 
 let verified_rate t =
@@ -65,13 +83,17 @@ let well_formed t =
   let rep = Scheme.report t.scheme in
   rep.Verify.bandwidth_ok && rep.Verify.firewall_ok && rep.Verify.bin_ok
 
+let edge_changed ~before ~after =
+  if before > 0. then
+    Float.abs (before -. after) > 1e-9 *. Float.max 1. (Float.max before after)
+  else after > 0.
+
 let edge_distance a b =
-  let eps = 1e-9 in
-  let differs w w' = Float.abs (w -. w') > eps *. Float.max 1. (Float.max w w') in
   let count = ref 0 in
   Flowgraph.Graph.iter_edges
     (fun ~src ~dst w ->
-      if differs w (Flowgraph.Graph.edge_weight b ~src ~dst) then incr count)
+      if edge_changed ~before:w ~after:(Flowgraph.Graph.edge_weight b ~src ~dst)
+      then incr count)
     a;
   (* Edges present only in b. *)
   Flowgraph.Graph.iter_edges

@@ -38,6 +38,17 @@ val build : ?rate:float -> Platform.Instance.t -> t
     feasible, or [Invalid_argument] is raised). The instance must be
     sorted. *)
 
+val optimal_rate : Platform.Instance.t -> float option
+(** [optimal_rate inst] is [Some (rate (build inst))], computed without
+    building: the bisection optimum of {!Greedy.optimal_acyclic} backed
+    off by [4 Util.eps], bit for bit the rate [build inst] targets. It
+    is [None] exactly where [build inst] raises: when the optimum is 0
+    (no positive rate is feasible), or when the backed-off word does not
+    survive the Lemma 4.6 pool accounting
+    ({!Low_degree.constructible}). Costs one dichotomic search plus one
+    graph-free pass; the instance must be sorted with at least one
+    receiver. *)
+
 val verified_rate : t -> float
 (** Throughput from the scheme's memoized {!Scheme.report} (the honest
     number after repairs); [infinity] on a single-node overlay. *)
@@ -49,6 +60,13 @@ val well_formed : t -> bool
 (** Structural sanity: order is a permutation starting at the source, all
     edges go forward in it, and the scheme's report confirms bandwidth,
     firewall and cap constraints. *)
+
+val edge_changed : before:float -> after:float -> bool
+(** Whether one connection counts as changed when its weight goes from
+    [before] to [after] ([0.] for an absent edge): a new edge always
+    counts, an existing one when the weights differ beyond a [1e-9]
+    relative tolerance. {!edge_distance} counts the pairs it holds for;
+    {!Repair} applies it to the edges its log saw rewritten. *)
 
 val edge_distance : Flowgraph.Graph.t -> Flowgraph.Graph.t -> int
 (** Number of edge insertions, deletions and re-weightings (beyond a 1e-9

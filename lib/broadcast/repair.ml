@@ -13,7 +13,7 @@ type delta = {
 
 type stats = {
   patch_edges : int;
-  rebuild_edges : int;
+  rebuild_edges : int Lazy.t;
   rate_after : float;
   optimal_after : float;
   starved : int list;
@@ -32,16 +32,39 @@ let full_delta =
   }
 
 (* Mutable edge-modification log threaded through the repair primitives;
-   folded into the structured [delta] once the operation commits. *)
+   folded into the structured [delta] once the operation commits. [pre]
+   keeps the weight every rewritten edge had before its first rewrite
+   (post-event ids, [0.] when absent), which is all [patch_edges] needs. *)
 type log = {
   mutable l_added : (int * int) list;  (* post-event ids *)
   mutable l_reweighted : (int * int) list;  (* post-event ids *)
   mutable l_removed : (int * int) list;  (* pre-event ids *)
   mutable l_nodes : int list;  (* post-event ids touched beyond edges *)
+  pre : (int * int, float) Hashtbl.t;
 }
 
 let new_log () =
-  { l_added = []; l_reweighted = []; l_removed = []; l_nodes = [] }
+  {
+    l_added = [];
+    l_reweighted = [];
+    l_removed = [];
+    l_nodes = [];
+    pre = Hashtbl.create 16;
+  }
+
+let note_rewrite log ~src ~dst ~before =
+  if not (Hashtbl.mem log.pre (src, dst)) then Hashtbl.add log.pre (src, dst) before
+
+(* Edges the repair changed, by [Overlay.edge_changed]: the same count
+   [Overlay.edge_distance] gives between the projected pre-repair graph
+   and [graph], since no edge outside the log was written. *)
+let rewritten_edges log graph =
+  Hashtbl.fold
+    (fun (src, dst) before acc ->
+      if Overlay.edge_changed ~before ~after:(G.edge_weight graph ~src ~dst) then
+        acc + 1
+      else acc)
+    log.pre 0
 
 let delta_of ~map log =
   let identity = ref true in
@@ -79,6 +102,18 @@ let delta_of ~map log =
     reweighted = Array.of_list (List.sort_uniq compare log.l_reweighted);
   }
 
+let compose_delta (d1 : delta) ~map (d2 : delta) =
+  if d1.full || d2.full then full_delta
+  else begin
+    let touched =
+      List.sort_uniq compare
+        (Array.fold_left
+           (fun acc v -> if map.(v) >= 0 then map.(v) :: acc else acc)
+           (Array.to_list d2.touched) d1.touched)
+    in
+    { d2 with identity = d1.identity && d2.identity; touched = Array.of_list touched }
+  end
+
 (* Provenance of a patched scheme: the original algorithm wrapped once in
    [Repaired] — repairs of repairs keep a single layer of wrapping. The
    target rate promise is kept; the degree promise is dropped (refill can
@@ -90,15 +125,16 @@ let repaired_provenance o =
   in
   { Scheme.algorithm; rate = p.Scheme.rate; degree_bound = None }
 
-let patched_overlay_of o ~inst ~graph ~order ~delta =
+let patched_overlay_of o ~inst ~graph ~order ~node_map ~delta ~monotone =
   let provenance = repaired_provenance o in
   let scheme =
-    (* Identity fast case: no renumbering happened, so the base scheme's
-       frozen snapshot stays warm — only the touched rows are re-frozen
-       and re-validated. Renumbering repairs (and rebuilds) fall back to
-       the full constructor. *)
-    if delta.identity && not delta.full then
-      Scheme.apply_delta ~base:(Overlay.scheme o) ~provenance inst
+    (* Delta-scoped fast case: a join or leave renumbers monotonically (an
+       unmoved degrade/restore does not renumber at all), so the base
+       scheme's frozen snapshot is renumbered and only the touched rows
+       are re-frozen and re-validated. The within-class permutation of a
+       degrade/restore falls back to the full constructor. *)
+    if monotone then
+      Scheme.apply_delta ~node_map ~base:(Overlay.scheme o) ~provenance inst
         ~rows:delta.touched graph
     else Scheme.create ~provenance inst graph
   in
@@ -133,9 +169,10 @@ let refill inst graph ~log ~pos ~r ~deficit ~cut =
         if remaining <= cut then remaining
         else begin
           let amount = Float.min spare remaining in
-          if G.edge_weight graph ~src:u ~dst:r > 0. then
-            log.l_reweighted <- (u, r) :: log.l_reweighted
+          let before = G.edge_weight graph ~src:u ~dst:r in
+          if before > 0. then log.l_reweighted <- (u, r) :: log.l_reweighted
           else log.l_added <- (u, r) :: log.l_added;
+          note_rewrite log ~src:u ~dst:r ~before;
           G.add_edge graph ~src:u ~dst:r amount;
           remaining -. amount
         end)
@@ -174,43 +211,90 @@ let starved_of scheme =
   done;
   !starved
 
-let finish ~before_projected ~touched ~node_map ~delta patched =
-  let patch_edges =
-    touched + Overlay.edge_distance before_projected (Overlay.graph patched)
-  in
+(* A committed patch whose reference numbers are not computed yet. *)
+type patch = {
+  patched : Overlay.t;
+  patch_edges : int;
+  node_map : int array;
+  delta : delta;
+  reference : reference;
+}
+
+(* What [rebuild_edges] needs to re-project the pre-event overlay on
+   demand, for the last operation of the patch: its pre-event snapshot
+   (immutable, never a working graph) and node map, the edges its
+   casualties dropped, and its own patch churn. *)
+and reference = {
+  before : Csr.t;
+  map : int array;
+  dropped : int;
+  own_patch_edges : int;
+}
+
+(* Seal one operation: fold its log into the delta and the churn count
+   ([dropped] edges went with casualties), and freeze the patched
+   overlay. [monotone]: [node_map] is strictly increasing on survivors. *)
+let commit o ~inst ~graph ~order ~node_map ~log ~dropped ~monotone =
+  let delta = delta_of ~map:node_map log in
+  let patch_edges = dropped + rewritten_edges log graph in
+  {
+    patched =
+      patched_overlay_of o ~inst ~graph ~order ~node_map ~delta ~monotone;
+    patch_edges;
+    node_map;
+    delta;
+    reference =
+      {
+        before = Scheme.snapshot (Overlay.scheme o);
+        map = node_map;
+        dropped;
+        own_patch_edges = patch_edges;
+      };
+  }
+
+(* The pre-event edge set in post-event ids, departed nodes dropped. *)
+let project r ~size =
+  let g = G.create size in
+  Csr.iter_edges
+    (fun ~src ~dst w ->
+      let s = r.map.(src) and d = r.map.(dst) in
+      if s >= 0 && d >= 0 then G.set_edge g ~src:s ~dst:d w)
+    r.before;
+  g
+
+let finish p =
+  let o = p.patched in
+  let inst = Overlay.instance o in
   (* [rate_after] comes from the patched scheme's memoized report — the CSR
      structured fast path on acyclic overlays, never a fresh max-flow. *)
-  let rate_after = Overlay.verified_rate patched in
-  let starved = starved_of (Overlay.scheme patched) in
-  let stats =
-    (* Churn can in principle leave an instance the Theorem 4.1 pipeline
-       no longer accepts (optimal rate 0); the patch must still stand on
-       its own, so a failed reference rebuild degrades to "no alternative"
-       instead of propagating the exception. *)
-    match Overlay.build (Overlay.instance patched) with
-    | rebuilt ->
-      {
-        patch_edges;
-        rebuild_edges =
-          touched + Overlay.edge_distance before_projected (Overlay.graph rebuilt);
-        rate_after;
-        optimal_after = Overlay.rate rebuilt;
-        starved;
-        node_map;
-        delta;
-      }
-    | exception Invalid_argument _ ->
-      {
-        patch_edges;
-        rebuild_edges = patch_edges;
-        rate_after;
-        optimal_after = 0.;
-        starved;
-        node_map;
-        delta;
-      }
+  let rate_after = Overlay.verified_rate o in
+  let starved = starved_of (Overlay.scheme o) in
+  (* The optimum is the rate a cold [Overlay.build] would target, taken
+     from the solver without building. Churn can leave an instance the
+     Theorem 4.1 pipeline does not accept (optimum 0); the patch still
+     stands on its own and the optimum reads 0 — "no alternative". *)
+  let optimum = Overlay.optimal_rate inst in
+  let r = p.reference in
+  let rebuild_edges =
+    lazy
+      (match optimum with
+      | None -> r.own_patch_edges
+      | Some _ ->
+        r.dropped
+        + Overlay.edge_distance
+            (project r ~size:(Instance.size inst))
+            (Overlay.graph (Overlay.build inst)))
   in
-  (patched, stats)
+  ( o,
+    {
+      patch_edges = p.patch_edges;
+      rebuild_edges;
+      rate_after;
+      optimal_after = (match optimum with Some rate -> rate | None -> 0.);
+      starved;
+      node_map = p.node_map;
+      delta = p.delta;
+    } )
 
 (* Shared removal core: drop a set of nodes in one event, remap the
    survivors, and refill every reception deficit in topological order. *)
@@ -268,11 +352,10 @@ let remove_nodes o ~nodes ~op =
     remap_graph old_graph ~size:(size - k) ~map:(fun v -> map.(v))
       ~keep:(fun v -> not drop.(v))
   in
-  let before_projected = G.copy graph in
   refill_all new_inst graph ~log ~order ~rate:(Overlay.rate o);
-  let delta = delta_of ~map log in
-  finish ~before_projected ~touched:!touched ~node_map:map ~delta
-    (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
+  finish
+    (commit o ~inst:new_inst ~graph ~order ~node_map:map ~log ~dropped:!touched
+       ~monotone:true)
 
 let leave o ~node = remove_nodes o ~nodes:[ node ] ~op:"Repair.leave"
 
@@ -290,7 +373,7 @@ let sorted_insert_position inst ~cls ~bandwidth =
   | Instance.Guarded ->
     scan (inst.Instance.n + 1) (inst.Instance.n + inst.Instance.m)
 
-let join o ~bandwidth ~cls =
+let join_patch o ~bandwidth ~cls =
   if bandwidth < 0. || not (Float.is_finite bandwidth) then
     invalid_arg "Repair.join: bad bandwidth";
   let inst = Overlay.instance o in
@@ -308,7 +391,6 @@ let join o ~bandwidth ~cls =
   let graph =
     remap_graph (Overlay.graph o) ~size:(size + 1) ~map ~keep:(fun _ -> true)
   in
-  let before_projected = G.copy graph in
   let order = Array.append (Array.map map (Overlay.order o)) [| p |] in
   let pos = Array.make (size + 1) 0 in
   Array.iteri (fun i v -> pos.(v) <- i) order;
@@ -319,9 +401,33 @@ let join o ~bandwidth ~cls =
   (* On a saturated overlay this fills nothing: the newcomer is admitted
      at rate 0 and lands in [stats.starved] — never an exception. *)
   ignore (refill new_inst graph ~log ~pos ~r:p ~deficit:rate ~cut);
-  let delta = delta_of ~map:(Array.init size map) log in
-  finish ~before_projected ~touched:0 ~node_map:(Array.init size map) ~delta
-    (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
+  commit o ~inst:new_inst ~graph ~order ~node_map:(Array.init size map) ~log
+    ~dropped:0 ~monotone:true
+
+let join o ~bandwidth ~cls = finish (join_patch o ~bandwidth ~cls)
+
+(* Two consecutive patches as one event: churn adds up, node maps and
+   deltas compose, the reference is the later operation's. *)
+let then_patch (p1 : patch) (p2 : patch) =
+  {
+    patched = p2.patched;
+    patch_edges = p1.patch_edges + p2.patch_edges;
+    node_map =
+      Array.map (fun v -> if v < 0 then -1 else p2.node_map.(v)) p1.node_map;
+    delta = compose_delta p1.delta ~map:p2.node_map p2.delta;
+    reference = p2.reference;
+  }
+
+let join_batch o ~arrivals =
+  match arrivals with
+  | [] -> invalid_arg "Repair.join_batch: no arrival"
+  | (bandwidth, cls) :: rest ->
+    finish
+      (List.fold_left
+         (fun acc (bandwidth, cls) ->
+           then_patch acc (join_patch acc.patched ~bandwidth ~cls))
+         (join_patch o ~bandwidth ~cls)
+         rest)
 
 (* Bandwidth change without membership change: move the node to its sorted
    position within its class (a label permutation — the topology and the
@@ -369,14 +475,15 @@ let set_bandwidth o ~node ~bandwidth ~op =
       remap_graph (Overlay.graph o) ~size ~map:(fun v -> map.(v))
         ~keep:(fun _ -> true)
   in
-  let before_projected = G.copy graph in
   let node' = map.(node) in
   let log = new_log () in
   log.l_nodes <- [ node' ];
   let out = G.out_weight graph node' in
   if out > bandwidth then begin
     List.iter
-      (fun (dst, _w) -> log.l_reweighted <- (node', dst) :: log.l_reweighted)
+      (fun (dst, w) ->
+        log.l_reweighted <- (node', dst) :: log.l_reweighted;
+        note_rewrite log ~src:node' ~dst ~before:w)
       (G.out_edges graph node');
     if bandwidth <= 0. then
       List.iter
@@ -394,9 +501,9 @@ let set_bandwidth o ~node ~bandwidth ~op =
     else Array.map (fun v -> map.(v)) (Overlay.order o)
   in
   refill_all new_inst graph ~log ~order ~rate:(Overlay.rate o);
-  let delta = delta_of ~map log in
-  finish ~before_projected ~touched:0 ~node_map:map ~delta
-    (patched_overlay_of o ~inst:new_inst ~graph ~order ~delta)
+  finish
+    (commit o ~inst:new_inst ~graph ~order ~node_map:map ~log ~dropped:0
+       ~monotone:identity)
 
 let degrade o ~node ~bandwidth =
   let inst = Overlay.instance o in
@@ -429,7 +536,7 @@ let rebuild ?headroom o =
   ( rebuilt,
     {
       patch_edges = edges;
-      rebuild_edges = edges;
+      rebuild_edges = Lazy.from_val edges;
       rate_after = Overlay.verified_rate rebuilt;
       optimal_after;
       starved = starved_of (Overlay.scheme rebuilt);

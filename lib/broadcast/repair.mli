@@ -28,10 +28,22 @@
       capacity in topological order — so a restore also heals nodes
       starved by an earlier degrade.
 
+    - {!join_batch}: a flash crowd — several newcomers admitted in one
+      event, exactly as the fold of {!join}s, with the reference optimum
+      computed once for the crowd instead of once per arrival.
+
     All patch operations touch [O(degree)] edges where a rebuild re-wires
     the whole swarm; the churn experiments (E13/E14) and the
     fault-injection engine ({!Churn.Engine}) measure exactly this gap and
-    the throughput cost of patching versus rebuilding. *)
+    the throughput cost of patching versus rebuilding.
+
+    {b Summation order.} The refill arithmetic runs on a
+    {!Flowgraph.Graph} built by the same sequence every time (the base
+    scheme's graph, then a remap into post-event ids). [Graph.out_weight]
+    and [in_weight] sum in hashtable order, so a graph built in another
+    insertion order could flip the last bit of a spare-capacity test and
+    hence an output; the patched scheme itself is frozen canonically and
+    does not depend on that order. *)
 
 type delta = {
   full : bool;
@@ -70,14 +82,32 @@ val full_delta : delta
     consumers handed no repair stats. *)
 
 type stats = {
-  patch_edges : int;  (** edge changes performed by the local repair *)
-  rebuild_edges : int;
-      (** edge changes a full re-optimization would have required *)
+  patch_edges : int;
+      (** edge changes performed by the local repair, counted from the
+          repair's own edit log with the {!Overlay.edge_changed}
+          predicate — equal to {!Overlay.edge_distance} between the
+          pre-repair graph (in post-event ids) and the patched one, plus
+          the edges that departed with removed nodes *)
+  rebuild_edges : int Lazy.t;
+      (** edge changes a full re-optimization would have required. Lazy:
+          forcing it re-projects the pre-event overlay (kept as its
+          immutable CSR snapshot) and runs a cold {!Overlay.build}, an
+          O(n) rebuild. The churn engine and the tracker never force it;
+          the repair-vs-rebuild experiment (E13) and tests do. When no
+          rebuild exists ([optimal_after = 0.]) it is the operation's own
+          [patch_edges]. For {!join_batch} it is the last arrival's
+          value, as in the fold of {!join}s. *)
   rate_after : float;
       (** throughput of the patched overlay, measured through the scheme's
           memoized report (the CSR structured fast path on acyclic
           overlays — no fresh max-flow per operation) *)
-  optimal_after : float;  (** optimal acyclic rate of the new instance *)
+  optimal_after : float;
+      (** optimal acyclic rate of the new instance: {!Overlay.optimal_rate},
+          i.e. {!Greedy.optimal_acyclic}'s optimum backed off by
+          [4 Util.eps] — bit for bit [Overlay.rate (Overlay.build inst)],
+          computed without building. Explicitly [0.] where that build
+          would fail: a zero optimum, or a backed-off word the Lemma 4.6
+          construction rejects. *)
   starved : int list;
       (** non-source nodes whose incoming rate remains below the overlay's
           target rate (beyond a [1e-6] relative slack) after the repair —
@@ -95,6 +125,14 @@ type stats = {
       (** what the event disturbed, for delta-scoped consumers; a
           {!rebuild} reports [delta.full = true] *)
 }
+
+val compose_delta : delta -> map:int array -> delta -> delta
+(** [compose_delta d1 ~map d2] is the delta of two consecutive events as
+    one: [d1] speaks the intermediate overlay's ids, [map] is the second
+    event's [node_map], [d2] speaks the final ids. [full], [identity] and
+    [touched] (what delta-scoped consumers act on) are merged exactly;
+    the edge lists keep [d2]'s view. A full delta on either side gives
+    {!full_delta}. *)
 
 val leave : Overlay.t -> node:int -> Overlay.t * stats
 (** [leave o ~node] removes node [node] (an index in the overlay's
@@ -124,6 +162,22 @@ val join :
     {!stats.starved} — saturation is a reported condition, not an error.
     Raises [Invalid_argument] on negative or non-finite bandwidth. *)
 
+val join_batch :
+  Overlay.t ->
+  arrivals:(float * Platform.Instance.node_class) list ->
+  Overlay.t * stats
+(** [join_batch o ~arrivals] admits every [(bandwidth, cls)] of
+    [arrivals] in order, as one event. Contract: the result equals the
+    fold of {!join} over [arrivals] — the same patched overlay
+    (byte-identical {!Scheme.to_json}), [patch_edges] summed over the
+    arrivals, [node_map] the composition of the per-join maps, [delta]
+    their {!compose_delta} composition, and [rate_after],
+    [optimal_after], [starved] and [rebuild_edges] those of the last
+    join. The difference is cost: the optimum, rate and starved set are
+    computed once, for the final overlay, not once per arrival. Raises
+    [Invalid_argument] on an empty list or on a bandwidth {!join}
+    rejects. *)
+
 val degrade : Overlay.t -> node:int -> bandwidth:float -> Overlay.t * stats
 (** [degrade o ~node ~bandwidth] lowers [node]'s upload capacity to
     [bandwidth] (which must not exceed its current bandwidth). The node
@@ -147,7 +201,7 @@ val rebuild : ?headroom:float -> Overlay.t -> Overlay.t * stats
 (** [rebuild o] re-runs the full Theorem 4.1 pipeline on the overlay's
     instance — the expensive alternative the patch operations are
     measured against. [patch_edges = rebuild_edges] in the returned
-    stats; the result carries fresh [Scheme.Theorem41] provenance.
+    stats (already forced); the result carries fresh [Scheme.Theorem41] provenance.
 
     By default the rebuild targets the instance's optimal acyclic rate,
     leaving zero spare upload capacity — so the next [join] necessarily

@@ -60,13 +60,15 @@ let create ?(eps = Util.eps) ~provenance inst g =
      [bin_ok = false] in the memoized report, like in [Verify.check]. *)
   { instance = inst; snapshot = snap; provenance; graph = None; report = None }
 
-let apply_delta ?(eps = Util.eps) ~base ~provenance inst ~rows g =
+let is_identity map =
+  let rec go i = i = Array.length map || (map.(i) = i && go (i + 1)) in
+  go 0
+
+let apply_delta ?(eps = Util.eps) ?node_map ~base ~provenance inst ~rows g =
   let size = Instance.size inst in
   let base_size = Instance.size base.instance in
   if G.node_count g <> size then
     invalid_arg "Scheme.apply_delta: graph node count does not match the instance";
-  if size < base_size then
-    invalid_arg "Scheme.apply_delta: instance may not shrink";
   if not (Instance.sorted inst) then
     invalid_arg "Scheme.apply_delta: instance must be sorted";
   if not (Float.is_finite provenance.rate && provenance.rate > 0.) then
@@ -81,9 +83,35 @@ let apply_delta ?(eps = Util.eps) ~base ~provenance inst ~rows g =
         |> Array.of_list)
       rows
   in
+  let renumbered =
+    match node_map with
+    | Some map when Array.length map <> base_size || not (is_identity map) ->
+      Some map
+    | _ -> None
+  in
   (* Re-freeze only the disturbed rows; everything else is blitted from
-     the base snapshot, bit for bit. *)
-  let snap = Csr.patch_rows ~n:size base.snapshot ~rows ~edges in
+     the base snapshot, bit for bit — renumbered first when the event
+     moved node ids. *)
+  let snap =
+    match renumbered with
+    | None ->
+      if size < base_size then
+        invalid_arg "Scheme.apply_delta: instance may not shrink";
+      Csr.patch_rows ~n:size base.snapshot ~rows ~edges
+    | Some map ->
+      let remapped =
+        try Csr.remap ~n:size base.snapshot ~map
+        with Invalid_argument msg -> invalid_arg ("Scheme.apply_delta: " ^ msg)
+      in
+      (* A node no survivor maps to is new: its row must be patched, as
+         an appended row must be on the identity path. *)
+      let covered = Array.make size false in
+      Array.iter (fun v -> if v >= 0 then covered.(v) <- true) map;
+      Array.iter (fun r -> covered.(r) <- true) rows;
+      if Array.exists not covered then
+        invalid_arg "Scheme.apply_delta: every new node must be patched";
+      Csr.patch_rows remapped ~rows ~edges
+  in
   (* Delta-scoped re-validation: the base artifact's constructor already
      certified the untouched rows, and the caller guarantees [rows]
      covers every node whose out-edges or bandwidth changed. *)

@@ -79,6 +79,7 @@ val create :
 
 val apply_delta :
   ?eps:float ->
+  ?node_map:int array ->
   base:t ->
   provenance:provenance ->
   Platform.Instance.t ->
@@ -94,19 +95,30 @@ val apply_delta :
     to [create ~provenance inst g] at a fraction of the cost — no edge
     sort, no hashtable iteration, no full re-validation.
 
-    The caller contracts that, relative to [base]:
-    - node ids are stable ([Repair]'s identity-[node_map] fast case);
-      [inst] may only append nodes, and every appended node appears in
+    [node_map] (default: the identity) is the event's renumbering, in
+    [Repair]'s convention: [node_map.(v)] is the post-event id of base
+    node [v], or [-1] if it departed. It must be strictly increasing on
+    the survivors — a join or a leave, never the within-class
+    permutation of a degrade — and the base snapshot is then renumbered
+    first ({!Flowgraph.Csr.remap}, which drops the departed nodes'
+    edges) before the rows are patched.
+
+    The caller contracts that, relative to [base] renumbered through
+    [node_map]:
+    - every node absent from the map's image (a newcomer; without a map,
+      every appended node) appears in [rows];
+    - every surviving node keeps its bandwidth and class, unless it is in
       [rows];
     - [rows] (sorted ascending) covers every node whose out-edges or
-      bandwidth changed — untouched rows of [g] must equal the base
-      snapshot's.
+      bandwidth changed — untouched rows of [g] must equal the
+      renumbered base snapshot's.
 
     Validation is delta-scoped ({!Verify.row_violation}): bandwidth and
     firewall are re-checked on [rows] only; the base artifact certifies
     the rest. Raises [Invalid_argument] on a violated contract it can
-    see (count mismatch, unsorted instance, bad rate, a disturbed row
-    breaking an invariant). *)
+    see (count mismatch, a malformed map, a newcomer missing from
+    [rows], unsorted instance, bad rate, a disturbed row breaking an
+    invariant). *)
 
 val instance : t -> Platform.Instance.t
 val graph : t -> Flowgraph.Graph.t

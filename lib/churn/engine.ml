@@ -58,29 +58,6 @@ let resolve_batch ~size picks =
       end)
     picks
 
-(* Compose two consecutive repair deltas: [d1] speaks the intermediate
-   overlay's ids, [map] is the second event's renumbering, [d2] the final
-   ids. Only the fields the delta-scoped auditor consumes are merged
-   exactly ([full], [identity], [touched]); the edge lists keep the
-   latest event's view. Any full delta poisons the composition — the
-   auditor then falls back to a full scan, which is always sound. *)
-let compose_delta (d1 : Repair.delta) ~map (d2 : Repair.delta) =
-  if d1.Repair.full || d2.Repair.full then Repair.full_delta
-  else begin
-    let touched =
-      List.sort_uniq compare
-        (Array.fold_left
-           (fun acc v -> if map.(v) >= 0 then map.(v) :: acc else acc)
-           (Array.to_list d2.Repair.touched)
-           d1.Repair.touched)
-    in
-    {
-      d2 with
-      Repair.identity = d1.Repair.identity && d2.Repair.identity;
-      touched = Array.of_list touched;
-    }
-  end
-
 let apply o (event : Trace.event) =
   let size = Scheme.size (Overlay.scheme o) in
   match event with
@@ -102,36 +79,14 @@ let apply o (event : Trace.event) =
     | [] -> None
     | nodes -> Some (Repair.leave_batch o ~nodes))
   | Flash_crowd { arrivals } ->
-    let o, edges, last =
-      List.fold_left
-        (fun (o, edges, acc) (bandwidth, guarded) ->
-          let o, (stats : Repair.stats) =
-            Repair.join o ~bandwidth ~cls:(cls_of guarded)
-          in
-          (* The burst is one event to the caller, so its node map (and
-             its disturbance delta) is the composition of the per-join
-             renumberings. *)
-          let map, stats =
-            match acc with
-            | None -> (stats.Repair.node_map, stats)
-            | Some (map, (prev : Repair.stats)) ->
-              ( Array.map
-                  (fun v -> if v < 0 then -1 else stats.Repair.node_map.(v))
-                  map,
-                {
-                  stats with
-                  Repair.delta =
-                    compose_delta prev.Repair.delta ~map:stats.Repair.node_map
-                      stats.Repair.delta;
-                } )
-          in
-          (o, edges + stats.patch_edges, Some (map, stats)))
-        (o, 0, None) arrivals
-    in
-    (match last with
-    | None -> None
-    | Some (map, stats) ->
-      Some (o, { stats with Repair.patch_edges = edges; node_map = map }))
+    (* The burst is one event to the caller: one repair whose node map and
+       delta compose the per-arrival ones. *)
+    (match arrivals with
+    | [] -> None
+    | _ ->
+      Some
+        (Repair.join_batch o
+           ~arrivals:(List.map (fun (b, guarded) -> (b, cls_of guarded)) arrivals)))
 
 (* Resumable engine state: [run] is now a fold of [step] over the trace,
    and long-running consumers (the tracker daemon) drive [step] directly
@@ -155,6 +110,9 @@ type state = {
   mutable min_ratio : float;
   mutable sum_ratio : float;
   mutable last : record option;
+  (* Repair stats the latest step's warm flow and audit were driven by;
+     [None] after a skipped event. *)
+  mutable last_repair : Repair.stats option;
   (* Audit deferred by [step ~defer_audit:true], waiting for
      [flush_audit]: index and repair stats of the latest applied event. *)
   mutable pending_audit : (int * Repair.stats) option;
@@ -190,10 +148,12 @@ let start ?(policy = Policy.Always_patch) ?(audit = Audit.Off)
     min_ratio = 1.;
     sum_ratio = 0.;
     last = None;
+    last_repair = None;
     pending_audit = None;
   }
 
 let live st = st.overlay
+let last_repair st = st.last_repair
 
 let flush_audit st =
   match st.pending_audit with
@@ -209,6 +169,7 @@ let step ?(defer_audit = false) st event =
     match apply st.overlay event with
     | None ->
       st.skipped <- st.skipped + 1;
+      st.last_repair <- None;
       let o = st.overlay in
       let rate = Overlay.verified_rate o in
       {
@@ -249,6 +210,7 @@ let step ?(defer_audit = false) st event =
       in
       let rate = fstats.rate_after and optimal = fstats.optimal_after in
       st.overlay <- o;
+      st.last_repair <- Some fstats;
       st.churn <- st.churn + churn_edges;
       let ratio = ratio_of ~rate ~optimal in
       st.min_ratio <- Float.min st.min_ratio ratio;
@@ -277,7 +239,7 @@ let step ?(defer_audit = false) st event =
             {
               fstats with
               Repair.delta =
-                compose_delta prev.Repair.delta ~map:fstats.Repair.node_map
+                Repair.compose_delta prev.Repair.delta ~map:fstats.Repair.node_map
                   fstats.Repair.delta;
             }
         in

@@ -153,6 +153,12 @@ val flush_audit : state -> unit
 val live : state -> Overlay.t
 (** The current overlay. *)
 
+val last_repair : state -> Repair.stats option
+(** The repair stats of the latest step — the policy rebuild's when it
+    fired — whose [node_map] moved the warm flow; [None] before the first
+    step and after a skipped event. Lets a caller mirror the engine's
+    warm-flow maintenance step for step. *)
+
 val progress : state -> summary
 (** Summary over the steps taken so far — the same value [run] would
     report for the trace consumed so far. *)

@@ -44,7 +44,7 @@ let run ?(nodes = 40) ?(events = 30) ?(p_open = 0.7) ?(headroom = 0.9)
       end
     in
     patch_edges := float_of_int stats.Broadcast.Repair.patch_edges :: !patch_edges;
-    rebuild_edges := float_of_int stats.Broadcast.Repair.rebuild_edges :: !rebuild_edges;
+    rebuild_edges := float_of_int (Lazy.force stats.Broadcast.Repair.rebuild_edges) :: !rebuild_edges;
     let target = headroom *. stats.Broadcast.Repair.optimal_after in
     let ratio =
       if target > 0. then Float.min 1. (stats.Broadcast.Repair.rate_after /. target)

@@ -100,6 +100,47 @@ let of_graph g =
     perm;
   finish ~n ~m ~row_off ~col ~w
 
+let remap ~n:n' t ~map =
+  if Array.length map <> t.n then invalid_arg "Csr.remap: map length mismatch";
+  let last = ref (-1) in
+  Array.iter
+    (fun v ->
+      if v >= 0 then begin
+        if v <= !last then
+          invalid_arg "Csr.remap: map must be strictly increasing on survivors";
+        last := v
+      end)
+    map;
+  if n' <= !last then invalid_arg "Csr.remap: n too small for the map";
+  (* A strictly increasing map keeps every row in canonical order, so the
+     surviving edges are copied in place: no sort. *)
+  let row_off' = Array.make (n' + 1) 0 in
+  for u = 0 to t.n - 1 do
+    if map.(u) >= 0 then
+      for e = t.row_off.(u) to t.row_off.(u + 1) - 1 do
+        if map.(t.col.(e)) >= 0 then
+          row_off'.(map.(u) + 1) <- row_off'.(map.(u) + 1) + 1
+      done
+  done;
+  for u = 0 to n' - 1 do
+    row_off'.(u + 1) <- row_off'.(u + 1) + row_off'.(u)
+  done;
+  let m' = row_off'.(n') in
+  let col' = Array.make m' 0 and w' = Array.make m' 0. in
+  let next = ref 0 in
+  for u = 0 to t.n - 1 do
+    if map.(u) >= 0 then
+      for e = t.row_off.(u) to t.row_off.(u + 1) - 1 do
+        let d = map.(t.col.(e)) in
+        if d >= 0 then begin
+          col'.(!next) <- d;
+          w'.(!next) <- t.w.(e);
+          incr next
+        end
+      done
+  done;
+  finish ~n:n' ~m:m' ~row_off:row_off' ~col:col' ~w:w'
+
 let patch_rows ?n t ~rows ~edges =
   let n' = match n with None -> t.n | Some n' -> n' in
   if n' < t.n then invalid_arg "Csr.patch_rows: n may not shrink";

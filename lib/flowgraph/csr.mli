@@ -39,6 +39,18 @@ val of_graph : Graph.t -> t
 (** [of_graph g] freezes the current state of [g]; later mutations of [g]
     are not reflected. *)
 
+val remap : n:int -> t -> map:int array -> t
+(** [remap ~n t ~map] renumbers a snapshot: node [u] becomes [map.(u)], or
+    disappears with its incident edges when [map.(u) < 0]. [map] must
+    have length [node_count t] and be strictly increasing on the nodes it
+    keeps, so rows stay in canonical order and nothing is re-sorted.
+    [n] is the node count of the result; ids below [n] that no node maps
+    to get empty rows. The result is
+    bit-for-bit the [of_graph] freeze of the renumbered graph — the
+    renumbering step [Scheme.apply_delta] runs before {!patch_rows} on a
+    join or leave. Raises [Invalid_argument] on a malformed map or an [n]
+    that cannot hold it. Cost: [O(n + m)] array passes. *)
+
 val patch_rows : ?n:int -> t -> rows:int array -> edges:(int * float) array array -> t
 (** [patch_rows t ~rows ~edges] is a fresh snapshot equal to [t] with the
     successor rows listed in [rows] replaced by [edges] — the delta-scoped

@@ -454,7 +454,7 @@ let test_certificate_delta_scoped_acyclicity () =
   let stats_with touched =
     {
       Broadcast.Repair.patch_edges = 0;
-      rebuild_edges = 0;
+      rebuild_edges = Lazy.from_val 0;
       rate_after = Broadcast.Overlay.verified_rate corrupted;
       optimal_after = infinity;
       starved = [];

@@ -241,6 +241,51 @@ let test_patch_rows_validation () =
   expect "appended row left unpatched" (fun () ->
       Csr.patch_rows ~n:8 base ~rows:[| 6 |] ~edges:[| [||] |])
 
+(* remap: a strictly increasing renumbering (departures dropped, gaps
+   left for newcomers) must be bit-for-bit the fresh freeze of the
+   renumbered graph. *)
+let test_remap_matches_of_graph () =
+  let rng = Prng.Splitmix.create 206L in
+  for _ = 1 to 30 do
+    let n = 3 + int_of_float (10. *. Prng.Splitmix.next_float rng) in
+    let g = random_graph rng n 0.4 in
+    let next = ref 0 in
+    let map =
+      Array.init n (fun _ ->
+          let r = Prng.Splitmix.next_float rng in
+          if r < 0.2 then -1
+          else begin
+            (* sometimes skip an id: a newcomer's slot *)
+            if r > 0.85 then incr next;
+            let v = !next in
+            incr next;
+            v
+          end)
+    in
+    let n' = !next + 1 in
+    let g' = G.create n' in
+    G.iter_edges
+      (fun ~src ~dst w ->
+        if map.(src) >= 0 && map.(dst) >= 0 then
+          G.set_edge g' ~src:map.(src) ~dst:map.(dst) w)
+      g;
+    Alcotest.(check bool) "remapped snapshot == fresh freeze, bit for bit" true
+      (Csr.remap ~n:n' (Csr.of_graph g) ~map = Csr.of_graph g')
+  done
+
+let test_remap_validation () =
+  let base = Csr.of_graph (random_graph (Prng.Splitmix.create 207L) 5 0.5) in
+  let expect what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  expect "map length mismatch" (fun () -> Csr.remap ~n:5 base ~map:[| 0; 1 |]);
+  expect "decreasing map" (fun () ->
+      Csr.remap ~n:5 base ~map:[| 0; 2; 1; 3; 4 |]);
+  expect "repeated id" (fun () -> Csr.remap ~n:5 base ~map:[| 0; 1; 1; 3; 4 |]);
+  expect "n too small" (fun () -> Csr.remap ~n:4 base ~map:[| 0; 1; 2; 3; 4 |])
+
 let suites =
   [
     ( "csr",
@@ -265,5 +310,8 @@ let suites =
           test_patch_rows_appends_nodes;
         Alcotest.test_case "patch_rows validation" `Quick
           test_patch_rows_validation;
+        Alcotest.test_case "remap == fresh freeze" `Quick
+          test_remap_matches_of_graph;
+        Alcotest.test_case "remap validation" `Quick test_remap_validation;
       ] );
   ]

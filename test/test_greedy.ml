@@ -93,6 +93,60 @@ let prop_below_cyclic =
       let t, _ = Broadcast.Greedy.optimal_acyclic inst in
       t <= Broadcast.Bounds.cyclic_upper inst +. 1e-9)
 
+(* Instances scaled towards 0, where the tolerance fringe is reached. *)
+let scaled_instance_arb =
+  QCheck.map
+    ~rev:(fun inst -> (inst, 1.))
+    (fun (inst, scale) ->
+      Instance.create
+        ~bandwidth:(Array.map (fun b -> b *. scale) inst.Instance.bandwidth)
+        ~n:inst.Instance.n ~m:inst.Instance.m ())
+    (QCheck.pair
+       (Helpers.instance_arb ~max_open:8 ~max_guarded:8)
+       (QCheck.oneofl [ 1.; 1e-6; 1e-10; 1e-13 ]))
+
+(* Reference: the bisection probing with [test], word and all, then
+   nudging the witness lookup down. [optimum]'s word-free probes must
+   give the same optimum and witness, bit for bit. *)
+let reference_optimal_acyclic inst =
+  let trivial =
+    Array.append
+      (Array.make inst.Instance.n Instance.Open)
+      (Array.make inst.Instance.m Instance.Guarded)
+  in
+  let test rate = Broadcast.Greedy.test inst ~rate in
+  let hi = Broadcast.Bounds.cyclic_upper inst in
+  if hi <= 0. then (0., trivial)
+  else begin
+    let search =
+      Broadcast.Util.dichotomic_search ~lo:0. ~hi (fun rate ->
+          rate <= 0. || test rate <> None)
+    in
+    let t = search.Broadcast.Util.value in
+    match test t with
+    | Some w -> (t, w)
+    | None ->
+      let rec retry rate k =
+        if k = 0 || rate <= 0. then (0., trivial)
+        else
+          match test rate with
+          | Some w -> (rate, w)
+          | None -> retry (rate *. (1. -. 1e-9)) (k - 1)
+      in
+      retry t 8
+  end
+
+let prop_optimum_matches_reference =
+  QCheck.Test.make ~name:"optimal_acyclic matches the word-building search"
+    ~count:200 scaled_instance_arb (fun inst ->
+      let t, w = Broadcast.Greedy.optimal_acyclic inst in
+      let t', w' = reference_optimal_acyclic inst in
+      Int64.equal (Int64.bits_of_float t) (Int64.bits_of_float t')
+      && w = w'
+      && Int64.equal
+           (Int64.bits_of_float (Broadcast.Greedy.optimum inst))
+           (Int64.bits_of_float t))
+
 let suites =
   [
     ( "greedy",
@@ -106,5 +160,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_greedy_is_exact;
         QCheck_alcotest.to_alcotest prop_witness_achieves;
         QCheck_alcotest.to_alcotest prop_below_cyclic;
+        QCheck_alcotest.to_alcotest prop_optimum_matches_reference;
       ] );
   ]

@@ -76,7 +76,7 @@ let test_full_pipeline () =
   let o', stats = Broadcast.Repair.leave o ~node:(Instance.size inst - 1) in
   Alcotest.(check bool) "repair well-formed" true (Broadcast.Overlay.well_formed o');
   Alcotest.(check bool) "repair cheap" true
-    (stats.Broadcast.Repair.patch_edges <= stats.Broadcast.Repair.rebuild_edges)
+    (stats.Broadcast.Repair.patch_edges <= (Lazy.force stats.Broadcast.Repair.rebuild_edges))
 
 let test_serialization_pipeline () =
   (* CLI-style roundtrip: generate -> serialize -> parse -> solve. *)

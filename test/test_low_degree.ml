@@ -122,6 +122,32 @@ let prop_guarded_interval =
       done;
       !ok)
 
+(* [constructible] runs the builder's pool accounting without emitting
+   edges: it must answer "would [build] succeed" exactly, also for words
+   and rates around the tolerance edge (bandwidths scaled towards 0,
+   rates at and just above the optimum). *)
+let prop_constructible_matches_build =
+  QCheck.Test.make ~name:"constructible iff build succeeds" ~count:200
+    (QCheck.triple
+       (Helpers.instance_arb ~max_open:8 ~max_guarded:6)
+       (QCheck.oneofl [ 1.; 1e-6; 1e-10; 1e-13 ])
+       (QCheck.oneofl [ 0.5; 1. -. 4e-9; 1.; 1. +. 1e-7; 1.01 ]))
+    (fun (inst, scale, factor) ->
+      let inst =
+        Instance.create
+          ~bandwidth:(Array.map (fun b -> b *. scale) inst.Instance.bandwidth)
+          ~n:inst.Instance.n ~m:inst.Instance.m ()
+      in
+      let t, w = Broadcast.Greedy.optimal_acyclic inst in
+      QCheck.assume (t > 0.);
+      let rate = t *. factor in
+      let builds =
+        match Broadcast.Low_degree.build inst ~rate w with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      Broadcast.Low_degree.constructible inst ~rate w = builds)
+
 let suites =
   [
     ( "low_degree",
@@ -133,5 +159,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_theorem41;
         QCheck_alcotest.to_alcotest prop_firewall;
         QCheck_alcotest.to_alcotest prop_guarded_interval;
+        QCheck_alcotest.to_alcotest prop_constructible_matches_build;
       ] );
   ]
