@@ -41,7 +41,7 @@ bench-tracker:
 # Streaming dataplane throughput, CI cell only: the n = 10^4 paper
 # overlay simulated by both engines over the same truncated trajectory
 # (writes BENCH_stream.json; gates the flat dataplane at >= 20x the
-# legacy Massoulie.Sim events/s and <= 16 minor words/event).
+# reference Oracle.Sim events/s and <= 16 minor words/event).
 bench-stream:
 	dune exec -- bench/stream_bench.exe
 

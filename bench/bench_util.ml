@@ -1,9 +1,9 @@
 (* Shared measurement helpers for the bench executables.
 
    Every bench in this directory needs the same three things: a wall
-   clock that is cheap for slow calls and averaged for fast ones, a GC
-   probe that attributes minor-heap allocation and major collections to
-   the measured call, and the process peak RSS. Centralising them keeps
+   clock (one-shot, or cheap for slow calls and averaged for fast ones),
+   a GC probe that attributes minor-heap allocation and major
+   collections to the measured call, and the process peak RSS. Centralising them keeps
    the JSON columns comparable across BENCH_*.json files. *)
 
 type gc_sample = {
@@ -28,6 +28,13 @@ let time f =
     done;
     (value, (Unix.gettimeofday () -. t0) /. float_of_int reps)
   end
+
+(* One wall-clock sample of [f], seconds first: for runs too long or
+   too stateful to repeat (whole sweeps, replays, daemon sessions). *)
+let time_once f =
+  let t0 = Unix.gettimeofday () in
+  let result = f () in
+  (Unix.gettimeofday () -. t0, result)
 
 (* Like [time], but brackets the measured reps with [Gc.quick_stat] so
    the sample carries allocation pressure, not just latency. A

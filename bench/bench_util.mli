@@ -11,6 +11,11 @@ val time : (unit -> 'a) -> 'a * float
     wall seconds. Calls slower than 0.5 s are measured once; faster
     calls are averaged over enough repetitions to cover ~0.3 s. *)
 
+val time_once : (unit -> 'a) -> float * 'a
+(** [time_once f] runs [f] exactly once and returns the wall seconds
+    together with its value — for whole sweeps, replays and sessions
+    that are too long or too stateful to repeat. *)
+
 val time_gc : (unit -> 'a) -> 'a * gc_sample
 (** [time_gc f] is [time f] extended with a GC probe: the measured
     repetitions are bracketed by [Gc.quick_stat] (after a [Gc.minor] to

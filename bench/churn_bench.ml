@@ -28,11 +28,6 @@
 module MF = Flowgraph.Maxflow
 module MFI = Flowgraph.Maxflow.Incremental
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. t0, result)
-
 type row = {
   nodes : int;
   events : int;
@@ -106,7 +101,7 @@ let microbench ~nodes =
   in
   let warm = ref [] in
   let incremental_s, () =
-    time (fun () ->
+    Bench_util.time_once (fun () ->
         List.iter
           (fun (map, snap) ->
             MFI.apply inc ~map snap;
@@ -115,7 +110,7 @@ let microbench ~nodes =
   in
   let scratch = ref [] in
   let full_recompute_s, () =
-    time (fun () ->
+    Bench_util.time_once (fun () ->
         List.iter
           (fun (_, snap) ->
             scratch := MF.min_broadcast_flow_csr snap ~src:0 :: !scratch)
@@ -140,8 +135,8 @@ let strict_audit_cost ~nodes =
   let run audit =
     Churn.Engine.run ~policy:Churn.Policy.Always_patch ~audit overlay trace
   in
-  let off_s, _ = time (fun () -> run Churn.Audit.Off) in
-  let strict_s, _ = time (fun () -> run Churn.Audit.Strict) in
+  let off_s, _ = Bench_util.time_once (fun () -> run Churn.Audit.Off) in
+  let strict_s, _ = Bench_util.time_once (fun () -> run Churn.Audit.Strict) in
   Float.max ((strict_s -. off_s) /. float_of_int strict_probe_events) 1e-9
 
 let bench ~nodes ~events =
@@ -152,7 +147,7 @@ let bench ~nodes ~events =
   in
   let r_off, gc = Bench_util.time_gc (fun () -> run Churn.Audit.Off) in
   let unaudited_s = gc.Bench_util.seconds in
-  let audited_s, r_chk = time (fun () -> run Churn.Audit.Check) in
+  let audited_s, r_chk = Bench_util.time_once (fun () -> run Churn.Audit.Check) in
   (* The serving fast path: warm incremental engine plus the delta-scoped
      Certificate audit (no backstop, so the timing is the pure fast path).
      Each part is timed directly in one replay: the audit by stepping
@@ -173,7 +168,7 @@ let bench ~nodes ~events =
       MFI.create (Broadcast.Scheme.snapshot (Broadcast.Overlay.scheme overlay)) ~src:0
     in
     let spent = ref 0. in
-    let clock f = spent := !spent +. fst (time f) in
+    let clock f = spent := !spent +. fst (Bench_util.time_once f) in
     Array.iter
       (fun e ->
         let r = Churn.Engine.step ~defer_audit:true st e in

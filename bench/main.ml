@@ -80,7 +80,9 @@ let rate100, word100 =
 let scheme100 =
   Broadcast.Scheme.graph (Broadcast.Low_degree.build inst100 ~rate:rate100 word100)
 
-let fig1_scheme = Broadcast.Scheme.graph (snd (Broadcast.Low_degree.build_optimal fig1))
+let fig1_built = snd (Broadcast.Low_degree.build_optimal fig1)
+let fig1_scheme = Broadcast.Scheme.graph fig1_built
+let fig1_snapshot = Broadcast.Scheme.snapshot fig1_built
 let gadget57 = Broadcast.Ratio.five_sevenths_instance ~epsilon:(1. /. 14.)
 let sqrt41_inst = fst (Broadcast.Ratio.sqrt41_instance ~k:1 ())
 
@@ -168,11 +170,16 @@ let tests =
       (Staged.stage (fun () ->
            Broadcast.Word.optimal_throughput inst1000 omega1000));
     (* Transport simulation (E11). *)
-    Test.make ~name:"massoulie/sim-fig1-100chunks"
+    Test.make ~name:"massoulie/dataplane-fig1-100chunks"
       (Staged.stage (fun () ->
-           Massoulie.Sim.simulate
-             ~config:{ Massoulie.Sim.default_config with chunks = 100 }
-             fig1_scheme ~rate:3.99));
+           Stream.Dataplane.run
+             ~config:
+               {
+                 Stream.Dataplane.default_config with
+                 chunks = 100;
+                 discipline = Oracle_reservoir;
+               }
+             fig1_snapshot ~rate:3.99));
     (* Last-mile fit (E12). *)
     Test.make ~name:"lastmile/fit-20x20"
       (Staged.stage (fun () -> Lastmile.Model.fit lastmile_matrix));
@@ -189,20 +196,25 @@ let tests =
     Test.make ~name:"depth/min-depth-100"
       (Staged.stage (fun () -> Broadcast.Depth.build inst100 ~rate:rate100 word100));
     (* E15 extension: simulation under jitter. *)
-    Test.make ~name:"jitter/sim-fig1-jitter0.2"
+    Test.make ~name:"jitter/dataplane-fig1-jitter0.2"
       (Staged.stage (fun () ->
-           Massoulie.Sim.simulate
+           Stream.Dataplane.run
              ~config:
-               { Massoulie.Sim.default_config with chunks = 100; jitter = 0.2 }
-             fig1_scheme ~rate:3.99));
+               {
+                 Stream.Dataplane.default_config with
+                 chunks = 100;
+                 jitter = 0.2;
+                 discipline = Oracle_reservoir;
+               }
+             fig1_snapshot ~rate:3.99));
     (* E16 extension: one-port baseline simulation. *)
     Test.make ~name:"oneport/sim-12nodes"
       (Staged.stage
          (let bout = Array.make 13 10. and bin = Array.make 13 20. in
           let guarded = Array.make 13 false in
           fun () ->
-            Massoulie.One_port.simulate
-              ~config:{ Massoulie.One_port.default_config with chunks = 60 }
+            Stream.One_port.simulate
+              ~config:{ Stream.One_port.default_config with chunks = 60 }
               ~bout ~bin ~guarded ()));
     (* Exact-rational certification of T*ac on the 5/7 gadget. *)
     Test.make ~name:"exactq/five-sevenths"

@@ -6,10 +6,10 @@
    - n = 10^4, paper overlay: a Generator instance solved by
      Low_degree.build_optimal (the pipeline the CLI runs), simulated
      twice over the SAME trajectory — Stream.Dataplane with the
-     [Oracle_reservoir] discipline and the boxed-structure
-     Massoulie.Sim oracle. The two are bit-identical on identical
+     [Oracle_reservoir] discipline and the boxed-structure Oracle.Sim
+     reference simulator. The two are bit-identical on identical
      seeds (same PRNG consumption, same event order — see
-     lib/massoulie/sim.mli), so truncating both at the same horizon
+     test/oracle/sim.mli), so truncating both at the same horizon
      compares equal work: events/s is the dataplane's event count over
      each engine's wall clock. Gates: flat >= 20x legacy, and
      minor-words/event <= 16 measured on a [Random_useful] run of the
@@ -128,16 +128,16 @@ let paper_row () =
     done;
     !best
   in
-  let sc = { Massoulie.Sim.default_config with chunks; max_time = flat_horizon } in
+  let sc = { Oracle.Sim.default_config with chunks; max_time = flat_horizon } in
   let t0 = Unix.gettimeofday () in
-  let lr = Massoulie.Sim.simulate ~config:sc g ~rate in
+  let lr = Oracle.Sim.simulate ~config:sc g ~rate in
   let legacy_s = Unix.gettimeofday () -. t0 in
   (* Same trajectory => same transfers; a cheap cross-check that the
      speedup really compares equal work. *)
-  if lr.Massoulie.Sim.transfers <> r.Stream.Dataplane.transfers then begin
+  if lr.Oracle.Sim.transfers <> r.Stream.Dataplane.transfers then begin
     Printf.eprintf
       "stream_bench: trajectory divergence (legacy %d transfers, flat %d)\n"
-      lr.Massoulie.Sim.transfers r.Stream.Dataplane.transfers;
+      lr.Oracle.Sim.transfers r.Stream.Dataplane.transfers;
     exit 1
   end;
   let events = r.Stream.Dataplane.events in

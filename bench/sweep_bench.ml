@@ -12,11 +12,6 @@
    gating. Run with `make bench-sweep` or
    `dune exec -- bench/sweep_bench.exe`. *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. t0, result)
-
 let render print =
   let buf = Buffer.create 65536 in
   let fmt = Format.formatter_of_buffer buf in
@@ -33,8 +28,8 @@ type sweep = {
 }
 
 let bench_sweep ~name ~workload print =
-  let jobs1_s, out1 = time (fun () -> render (print ~jobs:1)) in
-  let jobs4_s, out4 = time (fun () -> render (print ~jobs:4)) in
+  let jobs1_s, out1 = Bench_util.time_once (fun () -> render (print ~jobs:1)) in
+  let jobs4_s, out4 = Bench_util.time_once (fun () -> render (print ~jobs:4)) in
   { name; workload; jobs1_s; jobs4_s; identical = String.equal out1 out4 }
 
 let emit_json ~cores sweeps path =

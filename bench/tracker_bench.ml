@@ -23,11 +23,6 @@
 
    Run with `make bench-tracker` or `dune exec -- bench/tracker_bench.exe`. *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. t0, result)
-
 type row = {
   nodes : int;
   requests : int;
@@ -78,7 +73,7 @@ let serve ?journal_dir ~nodes ~batch ~mode overlay lines =
   let session = Tracker.Session.create ?journal config overlay in
   let answered = ref 0 in
   let seconds, () =
-    time (fun () ->
+    Bench_util.time_once (fun () ->
         List.iter
           (fun line ->
             answered := !answered + List.length (Tracker.Session.submit session line))

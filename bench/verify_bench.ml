@@ -74,7 +74,7 @@ let case name (inst, scheme) =
   let provenance = Broadcast.Scheme.provenance scheme in
   let acyclic = Flowgraph.Topo.is_acyclic g in
   let legacy_v, legacy_s =
-    time (fun () -> Flowgraph.Maxflow_legacy.min_broadcast_flow g ~src:0)
+    time (fun () -> Oracle.Maxflow_legacy.min_broadcast_flow g ~src:0)
   in
   let csr_v, csr_s =
     time (fun () -> Flowgraph.Maxflow.min_broadcast_flow g ~src:0)

@@ -314,17 +314,23 @@ let simulate_cmd =
     let rate, scheme =
       or_invalid (fun () -> Broadcast.Low_degree.build_optimal inst)
     in
-    let config = { Massoulie.Sim.default_config with chunks; streaming } in
-    let r = Massoulie.Sim.simulate ~config (Broadcast.Scheme.graph scheme) ~rate in
+    let config =
+      {
+        Stream.Dataplane.default_config with
+        chunks;
+        streaming;
+        discipline = Oracle_reservoir;
+      }
+    in
+    let r = Stream.Dataplane.run ~config (Broadcast.Scheme.snapshot scheme) ~rate in
     Printf.printf "overlay rate           : %.6f\n" rate;
-    Printf.printf "delivered all chunks   : %b\n" r.Massoulie.Sim.delivered_all;
+    Printf.printf "delivered all chunks   : %b\n" r.delivered_all;
     Printf.printf "completion time        : %.3f (ideal %.3f)\n"
-      r.Massoulie.Sim.completion_time
+      r.completion_time
       (float_of_int chunks /. rate);
-    Printf.printf "efficiency             : %.4f\n" r.Massoulie.Sim.efficiency;
-    Printf.printf "worst lag (chunk-times): %.1f\n"
-      (r.Massoulie.Sim.max_lag *. rate);
-    Printf.printf "transfers              : %d\n" r.Massoulie.Sim.transfers
+    Printf.printf "efficiency             : %.4f\n" r.efficiency;
+    Printf.printf "worst lag (chunk-times): %.1f\n" (r.max_lag *. rate);
+    Printf.printf "transfers              : %d\n" r.transfers
   in
   let info =
     Cmd.info "simulate"

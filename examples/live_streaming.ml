@@ -20,13 +20,13 @@ let () =
 
   let t_star = Broadcast.Bounds.cyclic_upper swarm in
   let rate, scheme = Broadcast.Low_degree.build_optimal swarm in
-  let overlay = Broadcast.Scheme.graph scheme in
+  let overlay = Broadcast.Scheme.snapshot scheme in
   Printf.printf "stream rate: %.2f Mb/s (cyclic upper bound %.2f -> %.1f%% achieved)\n"
     rate t_star (100. *. rate /. t_star);
 
   let degrees = Broadcast.Metrics.scheme_report scheme in
   Printf.printf "max connections per peer: %d (max excess over ceil(b/T): %d)\n"
-    (Broadcast.Metrics.max_outdegree_csr (Broadcast.Scheme.snapshot scheme))
+    (Broadcast.Metrics.max_outdegree_csr overlay)
     degrees.Broadcast.Metrics.max_excess;
   Printf.printf "overlay depth (hops from source): %d\n"
     (Broadcast.Metrics.scheme_depth scheme);
@@ -35,16 +35,12 @@ let () =
      enough that the slowest overlay edge can relay it quickly, otherwise
      viewers behind that edge buffer for chunk_size / slowest_edge_rate.
      We compare two chunk durations. *)
-  let slowest_edge =
-    Flowgraph.Graph.fold_edges
-      (fun ~src:_ ~dst:_ w acc -> Float.min acc w)
-      overlay infinity
-  in
+  let slowest_edge = Array.fold_left Float.min infinity overlay.Flowgraph.Csr.w in
   Printf.printf "slowest overlay edge: %.2f Mb/s\n" slowest_edge;
   let run_stream seconds_per_chunk chunks =
     let config =
       {
-        Massoulie.Sim.default_config with
+        Stream.Dataplane.default_config with
         chunks;
         chunk_size = seconds_per_chunk *. rate;
         streaming = true;
@@ -52,19 +48,20 @@ let () =
         (* Allow duplicate deliveries (Massoulié's actual policy): a slow
            edge must not hold a chunk hostage while fast edges idle. *)
         dedup_inflight = false;
+        discipline = Oracle_reservoir;
       }
     in
-    let sim = Massoulie.Sim.simulate ~config overlay ~rate in
-    if not sim.Massoulie.Sim.delivered_all then
+    let sim = Stream.Dataplane.run ~config overlay ~rate in
+    if not sim.delivered_all then
       Printf.printf "  %4.2f s chunks: stream did not complete in the horizon\n"
         seconds_per_chunk
     else
       Printf.printf
         "  %4.2f s chunks: worst playout buffering %7.1f s over %d chunks \
          (%.0f s of stream, %d/%d duplicate transfers)\n"
-        seconds_per_chunk sim.Massoulie.Sim.max_lag chunks
+        seconds_per_chunk sim.max_lag chunks
         (float_of_int chunks *. seconds_per_chunk)
-        sim.Massoulie.Sim.duplicates sim.Massoulie.Sim.transfers
+        sim.duplicates sim.transfers
   in
   print_endline "\nstreaming simulation (buffering needed by the worst viewer):";
   run_stream 1.0 150;

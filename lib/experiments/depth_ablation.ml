@@ -7,16 +7,16 @@ type row = {
 let stream_lag overlay ~rate =
   let config =
     {
-      Massoulie.Sim.default_config with
+      Stream.Dataplane.default_config with
       chunks = 250;
       streaming = true;
       dedup_inflight = false;
       seed = 13L;
+      discipline = Oracle_reservoir;
     }
   in
-  let r = Massoulie.Sim.simulate ~config overlay ~rate in
-  if r.Massoulie.Sim.delivered_all then r.Massoulie.Sim.max_lag *. rate
-  else infinity
+  let r = Stream.Dataplane.run ~config overlay ~rate in
+  if r.delivered_all then r.max_lag *. rate else infinity
 
 let compute ?(nodes = 60) ?(fractions = [ 1.0; 0.9; 0.75; 0.5 ]) ?(seed = 5L) () =
   let rng = Prng.Splitmix.create seed in
@@ -36,8 +36,8 @@ let compute ?(nodes = 60) ?(fractions = [ 1.0; 0.9; 0.75; 0.5 ]) ?(seed = 5L) ()
         let shallow = Broadcast.Depth.build inst ~rate word in
         {
           point;
-          fifo_lag = stream_lag (Broadcast.Scheme.graph fifo) ~rate;
-          min_depth_lag = stream_lag (Broadcast.Scheme.graph shallow) ~rate;
+          fifo_lag = stream_lag (Broadcast.Scheme.snapshot fifo) ~rate;
+          min_depth_lag = stream_lag (Broadcast.Scheme.snapshot shallow) ~rate;
         })
     points
 

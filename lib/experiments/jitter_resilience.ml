@@ -12,24 +12,25 @@ let compute ?(nodes = 40) ?(chunks = 400) ?(seed = 23L) ~jitter () =
       rng
   in
   let rate, scheme = Broadcast.Low_degree.build_optimal inst in
-  let overlay = Broadcast.Scheme.graph scheme in
+  let overlay = Broadcast.Scheme.snapshot scheme in
   let base =
     {
-      Massoulie.Sim.default_config with
+      Stream.Dataplane.default_config with
       chunks;
       jitter;
       dedup_inflight = false;
       seed = 29L;
+      discipline = Oracle_reservoir;
     }
   in
-  let file = Massoulie.Sim.simulate ~config:base overlay ~rate in
+  let file = Stream.Dataplane.run ~config:base overlay ~rate in
   let stream =
-    Massoulie.Sim.simulate ~config:{ base with streaming = true } overlay ~rate
+    Stream.Dataplane.run ~config:{ base with streaming = true } overlay ~rate
   in
   {
     jitter;
-    efficiency = file.Massoulie.Sim.efficiency;
-    stream_lag = stream.Massoulie.Sim.max_lag *. rate /. base.Massoulie.Sim.chunk_size;
+    efficiency = file.efficiency;
+    stream_lag = stream.max_lag *. rate /. base.chunk_size;
   }
 
 let print ?(jitters = [ 0.; 0.02; 0.05; 0.1; 0.2; 0.5 ]) fmt =

@@ -9,18 +9,20 @@ type row = {
 }
 
 let run_overlay ~label overlay ~rate ~chunks =
-  let config = { Massoulie.Sim.default_config with chunks } in
-  let file = Massoulie.Sim.simulate ~config overlay ~rate in
-  let stream =
-    Massoulie.Sim.simulate ~config:{ config with streaming = true } overlay ~rate
+  let config =
+    { Stream.Dataplane.default_config with chunks; discipline = Oracle_reservoir }
   in
-  let chunk_time = config.Massoulie.Sim.chunk_size /. rate in
+  let file = Stream.Dataplane.run ~config overlay ~rate in
+  let stream =
+    Stream.Dataplane.run ~config:{ config with streaming = true } overlay ~rate
+  in
+  let chunk_time = config.chunk_size /. rate in
   {
     overlay = label;
     rate;
     chunks;
-    efficiency = file.Massoulie.Sim.efficiency;
-    stream_lag = stream.Massoulie.Sim.max_lag /. chunk_time;
+    efficiency = file.efficiency;
+    stream_lag = stream.max_lag /. chunk_time;
   }
 
 let compute ?(chunks = 300) () =
@@ -34,11 +36,11 @@ let compute ?(chunks = 300) () =
   in
   let inst3 = Platform.Generator.generate spec rng in
   let rate3, scheme3 = Broadcast.Low_degree.build_optimal inst3 in
-  let graph = Broadcast.Scheme.graph in
+  let snapshot = Broadcast.Scheme.snapshot in
   [
-    run_overlay ~label:"Fig1 low-degree acyclic" (graph scheme1) ~rate:rate1 ~chunks;
-    run_overlay ~label:"Thm 5.2 cyclic example" (graph scheme2) ~rate:5.0 ~chunks;
-    run_overlay ~label:"random n=30 Unif100" (graph scheme3) ~rate:rate3 ~chunks;
+    run_overlay ~label:"Fig1 low-degree acyclic" (snapshot scheme1) ~rate:rate1 ~chunks;
+    run_overlay ~label:"Thm 5.2 cyclic example" (snapshot scheme2) ~rate:5.0 ~chunks;
+    run_overlay ~label:"random n=30 Unif100" (snapshot scheme3) ~rate:rate3 ~chunks;
   ]
 
 let print ?chunks fmt =

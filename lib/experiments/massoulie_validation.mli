@@ -1,5 +1,5 @@
 (** Experiment E11 — validating the transport layer: the randomized
-    chunk-exchange simulator ({!Massoulie.Sim}) actually delivers the
+    chunk-exchange dataplane ({!Stream.Dataplane}) actually delivers the
     throughput computed by the overlay algorithms.
 
     The paper's architecture (Section II-C) computes an overlay with edge
@@ -19,7 +19,10 @@ type row = {
 }
 
 val run_overlay :
-  label:string -> Flowgraph.Graph.t -> rate:float -> chunks:int -> row
+  label:string -> Flowgraph.Csr.t -> rate:float -> chunks:int -> row
+(** Runs the dataplane twice on the frozen overlay — file mode, then
+    streaming — under [Oracle_reservoir], the reservoir-scan chunk
+    selection of the reference simulator. *)
 
 val compute : ?chunks:int -> unit -> row list
 (** Overlays exercised: Figure 1's low-degree acyclic scheme, the

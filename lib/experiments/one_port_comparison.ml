@@ -25,8 +25,8 @@ let compute ?(nodes = 24) ?(chunks = 120) ?(seed = 31L) ?source_bout ~scenario ~
   in
   (* One-port baseline. *)
   let op =
-    Massoulie.One_port.simulate
-      ~config:{ Massoulie.One_port.default_config with chunks; seed = 7L }
+    Stream.One_port.simulate
+      ~config:{ Stream.One_port.default_config with chunks; seed = 7L }
       ~bout ~bin ~guarded ()
   in
   (* Multi-port pipeline: overlay at the downlink-clipped optimal rate. *)
@@ -39,20 +39,22 @@ let compute ?(nodes = 24) ?(chunks = 120) ?(seed = 31L) ?source_bout ~scenario ~
     match Broadcast.Greedy.test inst ~rate with
     | None -> 0.
     | Some word ->
-      let overlay = Broadcast.Scheme.graph (Broadcast.Low_degree.build inst ~rate word) in
+      let overlay =
+        Broadcast.Scheme.snapshot (Broadcast.Low_degree.build inst ~rate word)
+      in
       let sim =
-        Massoulie.Sim.simulate
+        Stream.Dataplane.run
           ~config:
             {
-              Massoulie.Sim.default_config with
+              Stream.Dataplane.default_config with
               chunks;
               dedup_inflight = false;
               seed = 7L;
+              discipline = Oracle_reservoir;
             }
           overlay ~rate
       in
-      if sim.Massoulie.Sim.delivered_all then
-        float_of_int chunks /. sim.Massoulie.Sim.completion_time
+      if sim.delivered_all then float_of_int chunks /. sim.completion_time
       else 0.
   in
   let non_source = Array.sub bout 1 nodes in
@@ -61,12 +63,10 @@ let compute ?(nodes = 24) ?(chunks = 120) ?(seed = 31L) ?source_bout ~scenario ~
   {
     scenario;
     heterogeneity = (if lo > 0. then hi /. lo else infinity);
-    one_port_rate = op.Massoulie.One_port.achieved_rate;
+    one_port_rate = op.achieved_rate;
     multi_port_rate = mp_rate;
     advantage =
-      (if op.Massoulie.One_port.achieved_rate > 0. then
-         mp_rate /. op.Massoulie.One_port.achieved_rate
-       else infinity);
+      (if op.achieved_rate > 0. then mp_rate /. op.achieved_rate else infinity);
   }
 
 let print fmt =

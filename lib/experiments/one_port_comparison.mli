@@ -6,7 +6,7 @@
 
     - {e one-port}: randomized useful-chunk exchange directly on the
       platform with both endpoints exclusively busy per transfer
-      ({!Massoulie.One_port});
+      ({!Stream.One_port});
     - {e bounded multi-port}: the Theorem 4.1 overlay (target rate clipped
       by the weakest downlink, which the paper assumes away but a fair
       comparison must honor) driven by the chunk-exchange simulator.

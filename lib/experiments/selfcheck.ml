@@ -120,13 +120,18 @@ let check_ratio_floor () =
 let check_transport () =
   let rate, scheme = Broadcast.Low_degree.build_optimal Instance.fig1 in
   let sim =
-    Massoulie.Sim.simulate
-      ~config:{ Massoulie.Sim.default_config with chunks = 200 }
-      (Broadcast.Scheme.graph scheme) ~rate
+    Stream.Dataplane.run
+      ~config:
+        {
+          Stream.Dataplane.default_config with
+          chunks = 200;
+          discipline = Oracle_reservoir;
+        }
+      (Broadcast.Scheme.snapshot scheme) ~rate
   in
   check "transport delivers fig1"
-    (sim.Massoulie.Sim.delivered_all && sim.Massoulie.Sim.efficiency > 0.8)
-    (Printf.sprintf "efficiency %.3f" sim.Massoulie.Sim.efficiency)
+    (sim.delivered_all && sim.efficiency > 0.8)
+    (Printf.sprintf "efficiency %.3f" sim.efficiency)
 
 let check_lastmile () =
   let rng = Prng.Splitmix.create 1005L in

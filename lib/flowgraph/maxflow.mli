@@ -13,8 +13,10 @@
     [Array.blit], BFS runs on a flat int queue, and the blocking-flow DFS
     is {e iterative} (explicit arc stack), so deep level graphs — path- or
     ring-shaped schemes at n = 100k and beyond — cannot overflow the OCaml
-    stack. The pre-CSR list-based engine survives as {!Maxflow_legacy},
-    the oracle of the differential suite.
+    stack. The pre-CSR list-based engine it replaced lives on outside the
+    library, as the reference oracle in [test/oracle/maxflow_legacy.ml]
+    that the differential suite and [bench/verify_bench.ml] compare
+    against.
 
     Verification workloads solve one flow per destination on the {e same}
     scheme; the {!solver} type shares one residual arena across all sinks

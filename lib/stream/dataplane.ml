@@ -1,10 +1,11 @@
 (* Flat-arena discrete-event streaming dataplane over a frozen CSR
    snapshot.
 
-   Same execution model as Massoulie.Sim — every overlay arc is an
-   independent pipe that picks a useful chunk whenever it is free — but
-   every piece of simulator state lives in preallocated int/float
-   arrays indexed by CSR arc ids:
+   Same execution model as the reference simulator kept as a test
+   oracle (test/oracle/sim.ml) — every overlay arc is an independent
+   pipe that picks a useful chunk whenever it is free — but every piece
+   of simulator state lives in preallocated int/float arrays indexed by
+   CSR arc ids:
 
      owned / inflight   chunk bitsets, 63 chunks per word, one row per node
      carrying, duration per-arc transfer state (-1 idle, -2 disabled)
@@ -15,10 +16,10 @@
    as minor-words/event in bench/stream_bench.ml).
 
    Under [Oracle_reservoir] the dataplane consumes the PRNG stream in
-   exactly the same order as (the determinism-fixed) Massoulie.Sim:
+   exactly the same order as that reference simulator:
    identical candidate scan order, identical reservoir draws, identical
    jitter draws, identical event tie-breaking. test/test_stream.ml
-   checks completion times are equal bit-for-bit at small n. *)
+   checks every shared result field is equal bit-for-bit at small n. *)
 
 type discipline =
   | Random_useful
@@ -168,7 +169,7 @@ let run ?(config = default_config) (csr : Flowgraph.Csr.t) ~rate =
   let dedup = config.dedup_inflight in
   let jitter_span = if config.jitter > 0. then log (1. +. config.jitter) else 0. in
   (* Arc arena. carrying: -2 disabled (too slow for the horizon, same
-     filter as Massoulie.Sim), -1 idle, >= 0 chunk in flight. *)
+     filter as the oracle), -1 idle, >= 0 chunk in flight. *)
   let carrying = Array.make m (-2) in
   let duration = Array.make m infinity in
   let arc_src = Array.make m 0 in
@@ -235,7 +236,7 @@ let run ?(config = default_config) (csr : Flowgraph.Csr.t) ~rate =
   let transfers = ref 0 and duplicates = ref 0 and events = ref 0 in
   (* Delay histogram (per-delivery lag behind release; in file mode the
      release times are all 0, so this is the absolute arrival time —
-     the same convention as Massoulie.Sim's max_lag). *)
+     the same convention as the oracle's max_lag). *)
   let chunk_time = config.chunk_size /. rate in
   let bin_w = chunk_time /. 16. in
   let inv_bin_w = 1. /. bin_w in
@@ -256,7 +257,7 @@ let run ?(config = default_config) (csr : Flowgraph.Csr.t) ~rate =
   (* Uniformly random useful chunk for idle arc [a] = (u, v), or -1.
 
      Oracle_reservoir consumes one next_below per candidate in
-     ascending chunk order — bit-compatible with Massoulie.Sim's
+     ascending chunk order — bit-compatible with the oracle's
      reservoir scan. Random_useful draws the same uniform distribution
      with a single next_below: the candidate count comes straight from
      the [qlen] backlog invariant (minus an O(indeg) in-flight
@@ -435,7 +436,7 @@ let run ?(config = default_config) (csr : Flowgraph.Csr.t) ~rate =
     end
   in
   (* Seed events — releases in ascending chunk order, exactly as
-     Massoulie.Sim pushes them, so FIFO tie-breaking agrees. *)
+     the oracle pushes them, so FIFO tie-breaking agrees. *)
   if config.streaming then
     for c = 0 to k - 1 do
       Eheap.add heap release_time.(c) (m + c)

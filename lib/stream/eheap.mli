@@ -11,8 +11,9 @@
     events with exactly equal times (insertion sequence). This makes
     every simulation driven by the heap deterministic independent of the
     heap's internal layout, and matches the tie-breaking contract of the
-    boxed {!Massoulie.Pqueue} it replaces, so the two simulators can be
-    compared event-for-event. *)
+    boxed priority queue it replaced (kept with the reference simulator
+    in [test/oracle/]), so the dataplane and that oracle can be compared
+    event-for-event. {!One_port} runs on it too. *)
 
 type t
 

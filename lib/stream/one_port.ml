@@ -14,8 +14,6 @@ type result = {
   transfers : int;
 }
 
-type completion = { src : int; dst : int; chunk : int }
-
 let simulate ?(config = default_config) ~bout ~bin ~guarded () =
   let nodes = Array.length bout in
   if nodes < 1 || Array.length bin <> nodes || Array.length guarded <> nodes then
@@ -33,7 +31,10 @@ let simulate ?(config = default_config) ~bout ~bin ~guarded () =
   let complete_nodes = ref 1 in
   let per_node_completion = Array.make nodes infinity in
   per_node_completion.(0) <- 0.;
-  let queue = Pqueue.create () in
+  (* A sender has at most one transfer in flight, so the heap payload is
+     the sender and its receiver and chunk sit in per-sender slots. *)
+  let queue = Eheap.create ~capacity:nodes () in
+  let target = Array.make nodes (-1) and carrying = Array.make nodes (-1) in
   let transfers = ref 0 in
   let allowed i j = not (guarded.(i) && guarded.(j)) in
   (* A free sender picks a uniformly random (receiver, chunk) pair among
@@ -82,17 +83,16 @@ let simulate ?(config = default_config) ~bout ~bin ~guarded () =
         if rate > 0. && config.chunk_size /. rate < config.max_time then begin
           sending.(i) <- true;
           receiving.(j) <- true;
-          Pqueue.push queue
-            (now +. (config.chunk_size /. rate))
-            { src = i; dst = j; chunk = c }
+          target.(i) <- j;
+          carrying.(i) <- c;
+          Eheap.add queue (now +. (config.chunk_size /. rate)) i
         end
   in
   try_start 0. 0;
   let rec loop () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some (now, _) when now > config.max_time -> ()
-    | Some (now, { src; dst; chunk }) ->
+    if Eheap.pop queue && Eheap.popped_time queue <= config.max_time then begin
+      let now = Eheap.popped_time queue and src = Eheap.popped_payload queue in
+      let dst = target.(src) and chunk = carrying.(src) in
       sending.(src) <- false;
       receiving.(dst) <- false;
       incr transfers;
@@ -112,6 +112,7 @@ let simulate ?(config = default_config) ~bout ~bin ~guarded () =
         done;
         loop ()
       end
+    end
   in
   loop ();
   let delivered_all = !complete_nodes = nodes in

@@ -15,7 +15,10 @@
     transfer's duration. Comparing its achieved rate with the bounded
     multi-port overlay pipeline on the same platform (experiment E16)
     quantifies how much the multi-port model buys on heterogeneous
-    platforms — and how little on homogeneous ones. *)
+    platforms — and how little on homogeneous ones.
+
+    Transfers run on {!Eheap}, whose equal-time events pop in FIFO
+    order, so a run is a pure function of the platform and the config. *)
 
 type config = {
   chunks : int;

@@ -536,6 +536,33 @@ let test_journal_dir_single_owner () =
         | _ -> Alcotest.failf "restore query lacks events: %s" out)
       | Error e -> Alcotest.failf "restore query unparseable (%s): %s" e out)
 
+(* {2 Transport golden}
+
+   The outputs of every command that runs randomized chunk transport —
+   E11/E14/E15/E16, selfcheck and both simulate modes — pinned byte for
+   byte. The transport engine behind them may change; what they print
+   may not. *)
+let transport_goldens fig1 =
+  [
+    ("exp massoulie -j 1", "exp_massoulie.txt");
+    ("exp jitter -j 1", "exp_jitter.txt");
+    ("exp depth -j 1", "exp_depth.txt");
+    ("exp oneport -j 1", "exp_oneport.txt");
+    ("selfcheck", "selfcheck.txt");
+    ("simulate " ^ fig1, "simulate.txt");
+    ("simulate " ^ fig1 ^ " --streaming --chunks 500", "simulate_streaming.txt");
+  ]
+
+let test_transport_golden () =
+  List.iter
+    (fun (args, golden) ->
+      let out = run_ok (Printf.sprintf "%s %s 2>/dev/null" bmp args) in
+      let expected = read_file (at (Filename.concat "golden/transport" golden)) in
+      if out <> expected then
+        Alcotest.failf "bmp %s differs from golden/transport/%s:\n%s" args
+          golden out)
+    (transport_goldens (Filename.quote (at "../examples/fig1.instance")))
+
 let suites =
   [
     ( "bench-cli",
@@ -561,5 +588,7 @@ let suites =
         Alcotest.test_case "usage errors exit 2" `Quick test_usage_errors_exit_2;
         Alcotest.test_case "domain failures exit 1" `Quick
           test_domain_failures_exit_1;
+        Alcotest.test_case "transport outputs byte-identical to golden"
+          `Quick test_transport_golden;
       ] );
   ]

@@ -7,7 +7,7 @@
 
 module G = Flowgraph.Graph
 module MF = Flowgraph.Maxflow
-module Legacy = Flowgraph.Maxflow_legacy
+module Legacy = Oracle.Maxflow_legacy
 
 let close what a b =
   (* Relative 1e-6, with infinities compared exactly (single-node and

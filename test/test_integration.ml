@@ -62,15 +62,20 @@ let test_full_pipeline () =
   in
   Alcotest.(check bool) "tree rates sum to the rate" true
     (Float.abs (total_rate -. rate) < 1e-5 *. rate);
-  (* 7. Transport achieves the rate. *)
+  (* 7. Transport achieves the rate, on the production dataplane. *)
   let sim =
-    Massoulie.Sim.simulate
+    Stream.Dataplane.run
       ~config:
-        { Massoulie.Sim.default_config with chunks = 200; dedup_inflight = false }
-      overlay ~rate
+        {
+          Stream.Dataplane.default_config with
+          chunks = 200;
+          dedup_inflight = false;
+          discipline = Oracle_reservoir;
+        }
+      (Broadcast.Scheme.snapshot scheme) ~rate
   in
-  Alcotest.(check bool) "transport delivers" true sim.Massoulie.Sim.delivered_all;
-  Alcotest.(check bool) "transport efficiency" true (sim.Massoulie.Sim.efficiency > 0.4);
+  Alcotest.(check bool) "transport delivers" true sim.delivered_all;
+  Alcotest.(check bool) "transport efficiency" true (sim.efficiency > 0.4);
   (* 8. Survive one churn event with headroom. *)
   let o = Broadcast.Overlay.build ~rate:(t_ac *. 0.85) inst in
   let o', stats = Broadcast.Repair.leave o ~node:(Instance.size inst - 1) in

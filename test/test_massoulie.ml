@@ -1,18 +1,18 @@
-(* Tests for the randomized-broadcast transport simulator and its event
-   queue. *)
+(* Tests for the reference transport simulator (Oracle.Sim) and its
+   boxed event queue — the oracles Stream.Dataplane is checked against. *)
 
 module G = Flowgraph.Graph
-module Sim = Massoulie.Sim
+module Sim = Oracle.Sim
 
 let test_pqueue_order () =
-  let q = Massoulie.Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Massoulie.Pqueue.is_empty q);
-  List.iter (fun k -> Massoulie.Pqueue.push q k (int_of_float k))
+  let q = Oracle.Pqueue.create () in
+  Alcotest.(check bool) "empty" true (Oracle.Pqueue.is_empty q);
+  List.iter (fun k -> Oracle.Pqueue.push q k (int_of_float k))
     [ 5.; 1.; 3.; 2.; 4.; 0.5 ];
-  Alcotest.(check int) "size" 6 (Massoulie.Pqueue.size q);
-  Alcotest.(check (option (float 0.))) "peek" (Some 0.5) (Massoulie.Pqueue.peek_key q);
+  Alcotest.(check int) "size" 6 (Oracle.Pqueue.size q);
+  Alcotest.(check (option (float 0.))) "peek" (Some 0.5) (Oracle.Pqueue.peek_key q);
   let rec drain acc =
-    match Massoulie.Pqueue.pop q with
+    match Oracle.Pqueue.pop q with
     | None -> List.rev acc
     | Some (k, _) -> drain (k :: acc)
   in
@@ -23,10 +23,10 @@ let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains sorted" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 0 200) (float_range 0. 1000.))
     (fun keys ->
-      let q = Massoulie.Pqueue.create () in
-      List.iter (fun k -> Massoulie.Pqueue.push q k ()) keys;
+      let q = Oracle.Pqueue.create () in
+      List.iter (fun k -> Oracle.Pqueue.push q k ()) keys;
       let rec drain acc =
-        match Massoulie.Pqueue.pop q with
+        match Oracle.Pqueue.pop q with
         | None -> List.rev acc
         | Some (k, ()) -> drain (k :: acc)
       in

@@ -1,6 +1,6 @@
 (* Tests for the one-port baseline simulator and the model comparison. *)
 
-module OP = Massoulie.One_port
+module OP = Stream.One_port
 
 let simple_platform n =
   let bout = Array.make (n + 1) 10. in

@@ -1,12 +1,13 @@
 (* Tests for the flat-arena streaming dataplane: the event heap's
    ordering and recycling contracts, bit-exact differential equality
-   against the Massoulie.Sim reference on every mode combination, the
+   against the Sim reference oracle on random acyclic, cyclic and
+   horizon-truncated overlays in every mode combination, the
    rate-convergence property the ISSUE gates on, and byte-determinism
    of the metrics JSON when sweep cells shard through Parallel.Pool. *)
 
 module G = Flowgraph.Graph
 module D = Stream.Dataplane
-module Sim = Massoulie.Sim
+module Sim = Oracle.Sim
 
 (* {2 Event heap} *)
 
@@ -70,48 +71,126 @@ let small_instance ~n ~seed =
       dist = Prng.Dist.Uniform { lo = 1.; hi = 10. } }
     rng
 
-let check_oracle_equal name (sc : Sim.config) (dc : D.config) g csr ~rate =
-  let a = Sim.simulate ~config:sc g ~rate in
-  let b = D.run ~config:dc csr ~rate in
-  Alcotest.(check (float 0.))
-    (name ^ ": completion bit-identical")
-    a.Sim.completion_time b.D.completion_time;
-  Alcotest.(check (array (float 0.)))
-    (name ^ ": per-node completions bit-identical")
-    a.Sim.per_node_completion b.D.per_node_completion;
-  Alcotest.(check int) (name ^ ": transfers") a.Sim.transfers b.D.transfers;
-  Alcotest.(check int) (name ^ ": duplicates") a.Sim.duplicates b.D.duplicates;
-  Alcotest.(check (float 0.)) (name ^ ": max_lag") a.Sim.max_lag b.D.max_lag
+(* Every field the two engines share, compared bit for bit. [None] when
+   they agree, otherwise the first field that differs. *)
+let oracle_mismatch (a : Sim.result) (b : D.result) =
+  let same x y = Float.equal x y in
+  if a.Sim.delivered_all <> b.D.delivered_all then Some "delivered_all"
+  else if not (same a.Sim.completion_time b.D.completion_time) then
+    Some "completion_time"
+  else if
+    Array.length a.Sim.per_node_completion
+    <> Array.length b.D.per_node_completion
+    || not
+         (Array.for_all2 same a.Sim.per_node_completion
+            b.D.per_node_completion)
+  then Some "per_node_completion"
+  else if a.Sim.transfers <> b.D.transfers then Some "transfers"
+  else if a.Sim.duplicates <> b.D.duplicates then Some "duplicates"
+  else if not (same a.Sim.max_lag b.D.max_lag) then Some "max_lag"
+  else if not (same a.Sim.efficiency b.D.efficiency) then Some "efficiency"
+  else None
 
-let test_oracle_differential () =
-  let inst = small_instance ~n:24 ~seed:99L in
-  let rate, scheme = Broadcast.Low_degree.build_optimal inst in
-  let g = Broadcast.Scheme.graph scheme in
-  let csr = Broadcast.Scheme.snapshot scheme in
-  let sc = { Sim.default_config with chunks = 120 } in
-  let dc = { D.default_config with chunks = 120; discipline = D.Oracle_reservoir } in
-  check_oracle_equal "file-dedup" sc dc g csr ~rate;
-  check_oracle_equal "file-nodedup"
-    { sc with dedup_inflight = false }
-    { dc with dedup_inflight = false }
-    g csr ~rate;
-  check_oracle_equal "stream-dedup" { sc with streaming = true }
-    { dc with streaming = true } g csr ~rate;
-  check_oracle_equal "stream-jitter"
-    { sc with streaming = true; jitter = 0.3; dedup_inflight = false }
-    { dc with streaming = true; jitter = 0.3; dedup_inflight = false }
-    g csr ~rate;
-  check_oracle_equal "file-jitter" { sc with jitter = 0.15 }
-    { dc with jitter = 0.15 } g csr ~rate
+let oracle_config (sc : Sim.config) =
+  {
+    D.chunks = sc.Sim.chunks;
+    chunk_size = sc.Sim.chunk_size;
+    seed = sc.Sim.seed;
+    max_time = sc.Sim.max_time;
+    streaming = sc.Sim.streaming;
+    jitter = sc.Sim.jitter;
+    dedup_inflight = sc.Sim.dedup_inflight;
+    discipline = D.Oracle_reservoir;
+  }
+
+let check_oracle_equal name (sc : Sim.config) g csr ~rate =
+  let a = Sim.simulate ~config:sc g ~rate in
+  let b = D.run ~config:(oracle_config sc) csr ~rate in
+  match oracle_mismatch a b with
+  | None -> ()
+  | Some field -> Alcotest.failf "%s: %s differs from the oracle" name field
+
+(* Random overlays of three kinds, each as the (Graph, CSR) pair the two
+   engines read, with its rate and horizon:
+   - 0: Low_degree's acyclic overlay on a random small platform;
+   - 1: Cyclic_open's Theorem 5.2 overlay on a random all-open platform
+        near E11's cyclic example (a deficit makes it cyclic);
+   - 2: a random digraph, cycles allowed, whose sliver arcs take 20-200
+        time units per chunk against a horizon of 60 — some are disabled
+        up front, the rest cut runs short at the horizon. *)
+let random_overlay ~kind ~n ~seed =
+  let rng = Prng.Splitmix.create seed in
+  let of_scheme scheme =
+    Some
+      ( Broadcast.Scheme.graph scheme,
+        Broadcast.Scheme.snapshot scheme,
+        Broadcast.Scheme.rate scheme,
+        Sim.default_config.Sim.max_time )
+  in
+  match kind with
+  | 0 ->
+    let inst = small_instance ~n ~seed in
+    if fst (Broadcast.Greedy.optimal_acyclic inst) <= 1e-9 then None
+    else of_scheme (snd (Broadcast.Low_degree.build_optimal inst))
+  | 1 ->
+    let bandwidth =
+      Array.init (n + 1) (fun i ->
+          if i = 0 then 5. else 3. +. (2. *. Prng.Splitmix.next_float rng))
+    in
+    let inst, _ =
+      Platform.Instance.normalize
+        (Platform.Instance.create ~bandwidth ~n ~m:0 ())
+    in
+    of_scheme (Broadcast.Cyclic_open.build inst)
+  | _ ->
+    let g = G.create n in
+    for v = 1 to n - 1 do
+      for _ = 0 to Prng.Splitmix.next_below rng 3 do
+        let u = Prng.Splitmix.next_below rng n in
+        if u <> v && G.edge_weight g ~src:u ~dst:v = 0. then
+          let w =
+            if Prng.Splitmix.next_below rng 4 = 0 then
+              0.005 +. (0.045 *. Prng.Splitmix.next_float rng)
+            else 1. +. (9. *. Prng.Splitmix.next_float rng)
+          in
+          G.add_edge g ~src:u ~dst:v w
+      done
+    done;
+    Some (g, Flowgraph.Csr.of_graph g, 2., 60.)
+
+let jitters = [| 0.; 0.15; 0.5 |]
+
+let prop_oracle_differential =
+  QCheck.Test.make ~name:"oracle differential (generator)" ~count:300
+    QCheck.(
+      pair
+        (triple (int_range 0 2) (int_range 2 14) (int_range 0 100_000))
+        (quad bool bool (int_range 0 2) (int_range 1 150)))
+    (fun ((kind, n, seed), (streaming, dedup_inflight, j, chunks)) ->
+      match random_overlay ~kind ~n ~seed:(Int64.of_int seed) with
+      | None -> QCheck.assume_fail ()
+      | Some (g, csr, rate, max_time) -> (
+        let sc =
+          {
+            Sim.default_config with
+            chunks;
+            seed = Int64.of_int (seed + 1);
+            max_time;
+            streaming;
+            jitter = jitters.(j);
+            dedup_inflight;
+          }
+        in
+        let a = Sim.simulate ~config:sc g ~rate in
+        match oracle_mismatch a (D.run ~config:(oracle_config sc) csr ~rate) with
+        | None -> true
+        | Some field -> QCheck.Test.fail_reportf "%s differs from the oracle" field))
 
 let test_oracle_differential_fig1 () =
   let rate, scheme = Broadcast.Low_degree.build_optimal Platform.Instance.fig1 in
   let g = Broadcast.Scheme.graph scheme in
   let csr = Broadcast.Scheme.snapshot scheme in
-  check_oracle_equal "fig1"
-    { Sim.default_config with chunks = 300 }
-    { D.default_config with chunks = 300; discipline = D.Oracle_reservoir }
-    g csr ~rate
+  check_oracle_equal "fig1" { Sim.default_config with chunks = 300 } g csr ~rate
 
 (* {2 Dataplane behaviour on its own} *)
 
@@ -326,8 +405,7 @@ let suites =
         Alcotest.test_case "eheap FIFO ties" `Quick test_eheap_fifo_ties;
         Alcotest.test_case "eheap free-list recycling" `Quick
           test_eheap_freelist_recycles;
-        Alcotest.test_case "oracle differential (generator)" `Quick
-          test_oracle_differential;
+        QCheck_alcotest.to_alcotest prop_oracle_differential;
         Alcotest.test_case "oracle differential (fig1)" `Quick
           test_oracle_differential_fig1;
         Alcotest.test_case "delivers fig1" `Quick test_delivers_fig1;
